@@ -8,7 +8,7 @@ from .cot import (COT_EPS_THETA, DivergenceError, DualPair, OtConfig,
                   dual_update, estimate_reg_w1, theta_update)
 from .data import (Dataset, GroupKey, InfeasibleRateError, Schema, SchemaError,
                    UnfairnessSchedule, load_dataset, resample_positive_rate,
-                   schedule_iterator, train_test_split)
+                   train_test_split)
 from .dot import (DOT_EPS_THETA, Coupling, coupling_cost, dot_run,
                   dot_theta_update, optimal_coupling_1d)
 from .dpp import QuantileMap, dpp_transform, fit_dpp

@@ -10,9 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .harness import (ExperimentConfig, RunTrace, export_dual_snapshot,
-                      load_checkpoint, load_config, persist_run, run_batch_sweep,
-                      run_drift, run_experiment, summary_table, _load_and_split)
+from .harness import (export_dual_snapshot, load_checkpoint, load_config,
+                      persist_run, run_batch_sweep, run_drift, run_experiment,
+                      summary_table, _load_and_split)
 from .model import train_lr
 
 

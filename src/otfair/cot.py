@@ -3,11 +3,11 @@ random-Fourier-feature potentials, and the alternating post-training loop
 that drives per-group score distributions toward a target distribution."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import EmpiricalDistribution, err_at_threshold, sdd, spdd, wasserstein1_1d
+from .metrics import evaluate
 from .model import LogisticModel, score_batch
 from .rff import DualPotential, eval_features, grad_potential_input, make_rff
 
@@ -24,16 +24,10 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Coupling regularizer: relative entropy or squared (L2) density ratio.
-
-    unclipped_l2_derivative switches the L2 pairing weight to the unclipped
-    linear form (pot_sum - cost) / (2 * strength) for comparison runs; the
-    default is the exact conjugate derivative with the positive part.
-    """
+    """Coupling regularizer: relative entropy or squared (L2) density ratio."""
 
     kind: str
     strength: float
-    unclipped_l2_derivative: bool = False
 
     def __post_init__(self):
         if self.kind not in ("entropy", "l2"):
@@ -55,8 +49,6 @@ def alpha(reg, pot_sum, cost):
     u = (np.asarray(pot_sum, dtype=float) - np.asarray(cost, dtype=float)) / reg.strength
     if reg.kind == "entropy":
         return np.exp(np.minimum(u, EXP_CLIP))
-    if reg.unclipped_l2_derivative:
-        return u / 2.0
     return np.maximum(u, 0.0) / 2.0
 
 
@@ -82,7 +74,6 @@ class OtConfig:
     antisymmetric: bool = True
     pair_mode: str = "full"
     seed: int = 0
-    reinit_duals_on_shift: bool = False
 
     def __post_init__(self):
         if self.batch_scores < 1 or self.batch_target < 1:
@@ -145,7 +136,7 @@ def dual_update(pair, reg, xs, ys, eps_dual, antisymmetric=False, pair_mode="ful
     fx, fy, pot, cost = _pot_sum_and_cost(pair, xs, ys, pair_mode)
     a = alpha(reg, pot, cost)
     if not np.isfinite(a).all():
-        raise AssertionError("non-finite pairing weights after clipping")
+        raise DivergenceError("non-finite pairing weights after clipping")
     if pair_mode == "diagonal":
         gx = (1.0 - a) @ fx / xs.size
         gy = (1.0 - a) @ fy / ys.size
@@ -246,83 +237,48 @@ def _iter_phases(data):
 
 
 def _eval_row(update, model, eval_data, target, include_sensitive, objs):
-    Z = eval_data.design_matrix(include_sensitive=include_sensitive)
-    s = score_batch(model, Z)
-    group_dists = {k: EmpiricalDistribution(s[idx])
-                   for k, idx in eval_data.groups.items()}
-    row = {
-        "update": update,
-        "wass1": sum(wasserstein1_1d(g, target) for g in group_dists.values()),
-        "err05": err_at_threshold(s, eval_data.y),
-        "sdd": sdd(group_dists, EmpiricalDistribution(s)),
-        "spdd": spdd(group_dists),
-    }
+    s = score_batch(model, eval_data.design_matrix(include_sensitive=include_sensitive))
+    m = evaluate(eval_data, s, target)
+    row = {"update": update, "wass1": m["wass1"], "err05": m["err05"],
+           "sdd": m["sdd"], "spdd": m["spdd"]}
     for k in sorted(objs):
         row[f"obj_{'_'.join(map(str, k))}"] = objs[k]
     return row
 
 
-def cot_run(model, data, target, cfg, trace_every=50, eval_data=None,
-            include_sensitive=True, init_pairs=None, rng=None, start_update=0):
-    """Alternating dual/parameter updates over a dataset or dataset schedule.
+def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
+              objs):
+    """The alternating scheme COT and DOT share; returns (model, trace rows).
 
-    Per iteration: sample a target batch; for each group sample a score
-    batch, ascend its dual pair, then descend the model parameters. Returns
-    (final model, trace rows, final dual pairs). Deterministic under cfg.seed.
-
-    init_pairs / rng / start_update allow resuming from a checkpoint: pass
-    the saved dual pairs, a generator restored to the saved state, and the
-    saved iteration counter.
+    Per update: sample a target batch, then one score batch per group of the
+    current phase, score them, and let step(model, sbar, batches, scores)
+    return the next model. Trace rows are taken at update 0 and every
+    trace_every updates on the phase's held-out set (else its train set);
+    objs holds the per-group columns they report.
     """
     if target.n < 1:
         raise ValueError("target distribution is empty")
-    eps_theta = COT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
-    ss = np.random.SeedSequence(cfg.seed)
-    stream_seed, *map_seeds = ss.spawn(65)
-    if rng is None:
-        rng = np.random.default_rng(stream_seed)
-    pairs = dict(init_pairs) if init_pairs else {}
-    trace, objs = [], {}
-    k_total = start_update
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    trace = []
+    k_total = 0
     for phase_data, duration, phase_eval in _iter_phases(data):
-        keys = phase_data.group_keys
-        if not pairs:
-            for i, key in enumerate(keys):
-                pairs[key] = DualPair.zeros(make_rff(cfg.D, cfg.sigma2, map_seeds[i]))
-        elif cfg.reinit_duals_on_shift:
-            pairs = {key: DualPair.zeros(p.score_side.map)
-                     for key, p in pairs.items()}
         group_Z = {key: phase_data.design_matrix(
                        phase_data.groups[key], include_sensitive=include_sensitive)
-                   for key in keys}
-        ev = phase_eval if phase_eval is not None else (
-            eval_data if eval_data is not None else phase_data)
+                   for key in phase_data.group_keys}
+        ev = phase_eval if phase_eval is not None else phase_data
         if k_total == 0:
             trace.append(_eval_row(0, model, ev, target, include_sensitive, objs))
-        steps = duration if duration is not None else cfg.num_updates - k_total
-        steps = min(steps, cfg.num_updates - k_total)
-        for _ in range(steps):
+        left = cfg.num_updates - k_total
+        for _ in range(left if duration is None else min(duration, left)):
             k_total += 1
             sbar = target.samples[rng.integers(0, target.n, cfg.batch_target)]
-            batches = {}
-            for key in keys:
-                Zg = group_Z[key]
-                Z = Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
-                s = score_batch(model, Z)
-                pairs[key] = dual_update(pairs[key], cfg.reg, s, sbar,
-                                         cfg.eps_dual, cfg.antisymmetric,
-                                         cfg.pair_mode)
-                objs[key] = dual_objective(pairs[key], cfg.reg, s, sbar,
-                                           cfg.pair_mode)
-                if abs(objs[key]) > 1e12:
-                    raise DivergenceError(
-                        f"dual objective diverged at update {k_total}; "
-                        "reduce eps_dual")
-                batches[key] = Z
-            pairing_count = (cfg.batch_scores * cfg.batch_target
-                             if cfg.pair_mode == "full" else cfg.batch_scores)
-            model = theta_update(model, pairs, batches, sbar, cfg.reg,
-                                 eps_theta / pairing_count, cfg.pair_mode)
+            batches = {key: Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
+                       for key, Zg in group_Z.items()}
+            scores = {key: score_batch(model, Z) for key, Z in batches.items()}
+            try:
+                model = step(model, sbar, batches, scores)
+            except DivergenceError as err:
+                raise DivergenceError(f"update {k_total}: {err}") from err
             if np.abs(model.theta).max() > 1e12:
                 raise DivergenceError(
                     f"model parameters diverged at update {k_total}; "
@@ -332,4 +288,36 @@ def cot_run(model, data, target, cfg, trace_every=50, eval_data=None,
                                        include_sensitive, objs))
         if k_total >= cfg.num_updates:
             break
+    return model, trace
+
+
+def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
+    """Alternating dual/parameter updates over a dataset or dataset schedule.
+
+    Per iteration: sample a target batch; for each group sample a score
+    batch, ascend its dual pair, then descend the model parameters. Dual
+    pairs are kept across phase shifts. Returns (final model, trace rows,
+    final dual pairs). Deterministic under cfg.seed.
+    """
+    eps_theta = COT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
+    pairing_count = (cfg.batch_scores * cfg.batch_target
+                     if cfg.pair_mode == "full" else cfg.batch_scores)
+    map_seeds = np.random.SeedSequence(cfg.seed).spawn(65)[1:]
+    pairs, objs = {}, {}
+
+    def step(model, sbar, batches, scores):
+        for i, (key, s) in enumerate(scores.items()):
+            if key not in pairs:
+                pairs[key] = DualPair.zeros(make_rff(cfg.D, cfg.sigma2, map_seeds[i]))
+            pairs[key] = dual_update(pairs[key], cfg.reg, s, sbar, cfg.eps_dual,
+                                     cfg.antisymmetric, cfg.pair_mode)
+            obj = objs[key] = dual_objective(pairs[key], cfg.reg, s, sbar,
+                                             cfg.pair_mode)
+            if not np.isfinite(obj) or abs(obj) > 1e12:
+                raise DivergenceError("dual objective diverged; reduce eps_dual")
+        return theta_update(model, pairs, batches, sbar, cfg.reg,
+                            eps_theta / pairing_count, cfg.pair_mode)
+
+    model, trace = _fit_loop(model, data, target, cfg, trace_every,
+                             include_sensitive, step, objs)
     return model, trace, pairs

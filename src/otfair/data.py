@@ -341,13 +341,6 @@ def resample_positive_rate(d, rates, seed):
     return d.subset(indices)
 
 
-def schedule_iterator(d, schedule, seed):
-    """Yield one (resampled Dataset, duration) per schedule phase, seeded."""
-    seeds = np.random.SeedSequence(seed).spawn(len(schedule.phases))
-    for (rates, duration), ss in zip(schedule.phases, seeds):
-        yield resample_positive_rate(d, rates, ss), int(duration)
-
-
 def train_test_split(d, test_frac=0.3, seed=0):
     """Split stratified by (group, label); returns (train, test) Datasets."""
     rng = np.random.default_rng(seed)

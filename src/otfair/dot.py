@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cot import DivergenceError, _eval_row, _iter_phases
+from .cot import DivergenceError, _fit_loop
 from .model import LogisticModel, score_batch
 
 DOT_EPS_THETA = 5e-3  # default parameter step when OtConfig.eps_theta is None
@@ -88,50 +88,17 @@ def dot_theta_update(model, couplings, batches, target_scores, eps_theta):
                          model.converged)
 
 
-def dot_run(model, data, target, cfg, trace_every=50, eval_data=None,
-            include_sensitive=True, rng=None, start_update=0):
+def dot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     """Alternate coupling re-estimation and parameter updates (cot_run analog).
 
     Uses cfg batch sizes, seed, eps_theta and num_updates; the regularized
     dual machinery is not involved. Deterministic under cfg.seed.
     """
-    if target.n < 1:
-        raise ValueError("target distribution is empty")
     eps_theta = DOT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    trace = []
-    k_total = start_update
-    for phase_data, duration, phase_eval in _iter_phases(data):
-        keys = phase_data.group_keys
-        group_Z = {key: phase_data.design_matrix(
-                       phase_data.groups[key], include_sensitive=include_sensitive)
-                   for key in keys}
-        ev = phase_eval if phase_eval is not None else (
-            eval_data if eval_data is not None else phase_data)
-        if k_total == 0:
-            trace.append(_eval_row(0, model, ev, target, include_sensitive, {}))
-        steps = duration if duration is not None else cfg.num_updates - k_total
-        steps = min(steps, cfg.num_updates - k_total)
-        for _ in range(steps):
-            k_total += 1
-            sbar = target.samples[rng.integers(0, target.n, cfg.batch_target)]
-            couplings, batches = {}, {}
-            for key in keys:
-                Zg = group_Z[key]
-                Z = Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
-                s = score_batch(model, Z)
-                couplings[key] = optimal_coupling_1d(s, sbar)
-                batches[key] = Z
-            model = dot_theta_update(model, couplings, batches, sbar,
-                                     eps_theta)
-            if np.abs(model.theta).max() > 1e12:
-                raise DivergenceError(
-                    f"model parameters diverged at update {k_total}; "
-                    "reduce eps_theta")
-            if k_total % trace_every == 0:
-                trace.append(_eval_row(k_total, model, ev, target,
-                                       include_sensitive, {}))
-        if k_total >= cfg.num_updates:
-            break
-    return model, trace
+
+    def step(model, sbar, batches, scores):
+        couplings = {key: optimal_coupling_1d(s, sbar) for key, s in scores.items()}
+        return dot_theta_update(model, couplings, batches, sbar, eps_theta)
+
+    return _fit_loop(model, data, target, cfg, trace_every, include_sensitive,
+                     step, {})

@@ -11,11 +11,10 @@ import numpy as np
 
 from . import dpp as dpp_mod
 from .cot import DualPair, OtConfig, Regularizer, cot_run
-from .data import (Dataset, UnfairnessSchedule, load_dataset,
-                   resample_positive_rate, schedule_iterator, train_test_split)
+from .data import (UnfairnessSchedule, load_dataset, resample_positive_rate,
+                   train_test_split)
 from .dot import dot_run
-from .metrics import (EmpiricalDistribution, err_at_threshold, pooled, sdd,
-                      spdd, w1_barycenter, wasserstein1_1d)
+from .metrics import EmpiricalDistribution, evaluate, w1_barycenter
 from .model import LogisticModel, score_batch, train_lr
 from .rff import DualPotential, RffMap, eval_potential
 
@@ -41,7 +40,6 @@ class ExperimentConfig:
     trace_every: int = 50
     desk_scale: bool = False
     desk_rows: int = 10_000
-    eval_on_original: bool = False  # drift runs: fixed test set instead of shifted
     out: str = ""
 
     def __post_init__(self):
@@ -180,17 +178,6 @@ def build_target(ds, model, spec, include_sensitive=True):
     raise ValueError(f"unknown target spec {spec!r}")
 
 
-def evaluate(ds, scores, target):
-    """Table row: Err-.5, Wass1 (vs target), SDD (vs pool), SPDD."""
-    dists = {k: EmpiricalDistribution(scores[idx]) for k, idx in ds.groups.items()}
-    return {
-        "err05": err_at_threshold(scores, ds.y),
-        "wass1": sum(wasserstein1_1d(g, target) for g in dists.values()),
-        "sdd": sdd(dists, pooled(dists)),
-        "spdd": spdd(dists),
-    }
-
-
 def _load_and_split(cfg):
     ds = load_dataset(cfg.dataset, cfg.schema, cfg.delimiter)
     if cfg.desk_scale and ds.n > cfg.desk_rows:
@@ -315,8 +302,7 @@ def phase_stats(rows, phases, recovery_factor=1.5):
 def run_drift(cfg):
     """Run the configured method over the unfairness schedule.
 
-    Evaluates on each phase's shifted held-out subset by default
-    (cfg.eval_on_original switches to the fixed test split).
+    Evaluates on each phase's held-out subset, resampled to the phase's rates.
     """
     if cfg.schedule is None:
         raise ValueError("drift run requires a schedule")
@@ -329,10 +315,8 @@ def run_drift(cfg):
     phases = []
     for (rates, duration), ss in zip(schedule.phases, train_seeds):
         child = ss.spawn(2)
-        shifted_train = resample_positive_rate(train, rates, child[0])
-        ev = test if cfg.eval_on_original else resample_positive_rate(
-            test, rates, child[1])
-        phases.append((shifted_train, duration, ev))
+        phases.append((resample_positive_rate(train, rates, child[0]), duration,
+                       resample_positive_rate(test, rates, child[1])))
 
     ot = replace(cfg.ot, num_updates=schedule.total_updates)
     if cfg.method == "COT":
@@ -364,8 +348,12 @@ def export_dual_snapshot(pairs, grid):
     return rows
 
 
-def save_checkpoint(path, model, pairs, ot_cfg, iteration, rng_state=None):
-    """Text checkpoint: model weights, dual coefficients, feature maps."""
+def save_checkpoint(path, model, pairs, ot_cfg, iteration):
+    """Text checkpoint: model weights, dual coefficients, feature maps.
+
+    It feeds `export-duals`; it does not hold the sampling state, so a run
+    cannot resume from it.
+    """
     payload = {
         "iteration": int(iteration),
         "theta": [float(t) for t in model.theta],
@@ -373,7 +361,6 @@ def save_checkpoint(path, model, pairs, ot_cfg, iteration, rng_state=None):
         "ot": {"D": ot_cfg.D, "sigma2": ot_cfg.sigma2, "seed": ot_cfg.seed,
                "reg": ot_cfg.reg.kind, "reg_strength": ot_cfg.reg.strength},
         "groups": {},
-        "rng_state": rng_state,
     }
     for key, pair in pairs.items():
         m = pair.score_side.map

@@ -17,8 +17,8 @@ class EmpiricalDistribution:
         s = np.sort(np.asarray(self.samples, dtype=float).ravel())
         if s.size < 1:
             raise ValueError("empirical distribution needs at least one sample")
-        if s[0] < -1e-12 or s[-1] > 1 + 1e-12:
-            raise ValueError("samples must lie in [0, 1]")
+        if not (s[0] >= -1e-12 and s[-1] <= 1 + 1e-12):  # NaN sorts last, fails too
+            raise ValueError("samples must be finite and lie in [0, 1]")
         self.samples = np.clip(s, 0.0, 1.0)
 
     @property
@@ -124,6 +124,17 @@ def w1_barycenter(groups, weights=None, grid=1000):
     first = np.argmax(ws >= 0.5 - 1e-12, axis=0)
     bary = qs[first, np.arange(grid)]
     return EmpiricalDistribution(bary)
+
+
+def evaluate(ds, scores, target):
+    """Table row: Err-.5, Wass1 (vs target), SDD (vs pool), SPDD."""
+    dists = {k: EmpiricalDistribution(scores[idx]) for k, idx in ds.groups.items()}
+    return {
+        "err05": err_at_threshold(scores, ds.y),
+        "wass1": sum(wasserstein1_1d(g, target) for g in dists.values()),
+        "sdd": sdd(dists, pooled(dists)),
+        "spdd": spdd(dists),
+    }
 
 
 def wass1_total(group_scores, target):

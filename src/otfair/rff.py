@@ -6,7 +6,7 @@ psi(x).psi(x') equals exp(-(x - x')^2 / sigma2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -3,6 +3,7 @@ finite-difference gradient checks, and the alternating run loop."""
 import numpy as np
 import pytest
 
+from otfair import cot
 from otfair.cot import (EXP_CLIP, DivergenceError, DualPair, OtConfig,
                         Regularizer, alpha, conjugate, cot_run,
                         dual_objective, dual_update, estimate_reg_w1,
@@ -48,8 +49,6 @@ def test_alpha_hand_values():
     assert alpha(ENT, 0.5, 0.0) == pytest.approx(np.e)
     assert alpha(L2, 1.0, 0.0) == pytest.approx(1.0)
     assert alpha(L2, 0.0, 1.0) == pytest.approx(0.0)
-    linear = Regularizer("l2", 0.5, unclipped_l2_derivative=True)
-    assert alpha(linear, 0.0, 1.0) == pytest.approx(-1.0)
 
 
 def test_dual_objective_hand_values():
@@ -150,6 +149,12 @@ def test_dual_update_rejects_empty_batches():
         dual_update(pair, ENT, np.array([]), np.ones(3), 0.1)
     with pytest.raises(ValueError):
         dual_objective(pair, ENT, np.ones(3), np.array([]))
+
+
+@pytest.mark.parametrize("reg", [ENT, L2])
+def test_dual_update_nan_score_is_divergence(reg):
+    with pytest.raises(DivergenceError, match="pairing weights"):
+        dual_update(_pair(), reg, np.array([0.2, np.nan]), np.ones(2), 0.1)
 
 
 def test_diagonal_requires_equal_batches():
@@ -285,17 +290,20 @@ def test_cot_run_over_phases():
     assert trace[-1]["update"] == 20
 
 
-def test_cot_run_reinit_duals_on_shift():
-    ds1, ds2 = _tiny_dataset(0), _tiny_dataset(1)
+def test_cot_run_nan_objective_names_the_update(monkeypatch):
+    real, calls = cot.dual_objective, []
+
+    def nan_on_third(*args):
+        calls.append(1)
+        return float("nan") if len(calls) == 3 else real(*args)
+
+    monkeypatch.setattr(cot, "dual_objective", nan_on_third)
+    ds = _tiny_dataset()  # two groups: the third call is update 2
     model = LogisticModel(np.array([0.2, 0.5, -0.5, 0.0]))
     target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
-    cfg = OtConfig(num_updates=11, batch_scores=8, batch_target=8, seed=1,
-                   reinit_duals_on_shift=True)
-    _, _, pairs = cot_run(model, [(ds1, 10), (ds2, 1)], target, cfg,
-                          trace_every=100)
-    # one update after the reset leaves the coefficients near zero
-    for pair in pairs.values():
-        assert np.abs(pair.score_side.coeffs).max() < 0.1
+    cfg = OtConfig(num_updates=5, batch_scores=8, batch_target=8, seed=1)
+    with pytest.raises(DivergenceError, match=r"update 2\b.*dual objective"):
+        cot_run(model, ds, target, cfg)
 
 
 class _EmptyTarget:

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from otfair.data import (Dataset, InfeasibleRateError, RowError, Schema,
                          SchemaError, UnfairnessSchedule, load_dataset,
-                         resample_positive_rate, schedule_iterator,
-                         train_test_split)
+                         resample_positive_rate, train_test_split)
 
 CSV = """age,color,group,label
 1.0,red,a,1
@@ -161,14 +160,6 @@ def test_schedule_validation():
         UnfairnessSchedule([({}, 0)])
     sched = UnfairnessSchedule([({}, 10), ({}, 20)])
     assert sched.total_updates == 30
-
-
-def test_schedule_iterator_deterministic(census):
-    key = census.group_keys[0]
-    sched = UnfairnessSchedule([({key: 0.3}, 10), ({key: 0.1}, 10)])
-    a = [d.n for d, _ in schedule_iterator(census, sched, seed=7)]
-    b = [d.n for d, _ in schedule_iterator(census, sched, seed=7)]
-    assert a == b
 
 
 def test_split_is_a_partition(census):

@@ -1,14 +1,16 @@
-"""Discrete couplings: LP oracle, marginal exactness, update oracle."""
+"""Discrete couplings: exact W1 oracle, marginal exactness, update oracle."""
+from fractions import Fraction
+from math import ceil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
 from otfair.cot import OtConfig
 from otfair.data import Dataset
-from otfair.dot import (Coupling, coupling_cost, dot_run, dot_theta_update,
+from otfair.dot import (coupling_cost, dot_run, dot_theta_update,
                         optimal_coupling_1d)
 from otfair.metrics import EmpiricalDistribution
 from otfair.model import LogisticModel, score_batch
@@ -17,23 +19,21 @@ unit_batch = st.lists(st.floats(min_value=0.0, max_value=1.0,
                                 allow_nan=False), min_size=1, max_size=8)
 
 
-def lp_transport_cost(xs, ys):
-    """Reference transportation LP over the dense cost matrix."""
+def exact_w1(xs, ys):
+    """W1 between the uniform empirical distributions, in exact rationals.
+
+    Integrates |F_x^-1(u) - F_y^-1(u)| over the merged quantile breakpoints
+    k/n and l/m; both quantile functions are constant between breakpoints.
+    """
+    xs, ys = sorted(map(Fraction, xs)), sorted(map(Fraction, ys))
     n, m = len(xs), len(ys)
-    C = np.abs(np.subtract.outer(np.asarray(xs), np.asarray(ys))).ravel()
-    A_eq = []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m:(i + 1) * m] = 1.0
-        A_eq.append(row)
-    for j in range(m):
-        row = np.zeros(n * m)
-        row[j::m] = 1.0
-        A_eq.append(row)
-    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
-    res = linprog(C, A_eq=np.array(A_eq), b_eq=b_eq, method="highs")
-    assert res.success
-    return res.fun
+    levels = sorted({Fraction(k, n) for k in range(1, n + 1)}
+                    | {Fraction(k, m) for k in range(1, m + 1)})
+    total, prev = Fraction(0), Fraction(0)
+    for u in levels:
+        total += (u - prev) * abs(xs[ceil(u * n) - 1] - ys[ceil(u * m) - 1])
+        prev = u
+    return float(total)
 
 
 def _dense(c):
@@ -45,9 +45,9 @@ def _dense(c):
 @settings(deadline=None, max_examples=60)
 @given(unit_batch, unit_batch)
 def test_coupling_cost_matches_lp(xs, ys):
+    """The transport LP's optimum, which in 1-D is the quantile W1, taken exactly."""
     c = optimal_coupling_1d(xs, ys)
-    assert coupling_cost(c, xs, ys) == pytest.approx(lp_transport_cost(xs, ys),
-                                                     abs=1e-10)
+    assert coupling_cost(c, xs, ys) == pytest.approx(exact_w1(xs, ys), abs=1e-10)
 
 
 @settings(deadline=None, max_examples=60)

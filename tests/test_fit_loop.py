@@ -1,0 +1,205 @@
+"""The fit loop COT and DOT share, against the two loops it replaced.
+
+The reference loops below are the earlier separate `cot_run` / `dot_run`
+bodies, with the removed resume and dual-reset options fixed at the only
+values any caller used. The shared loop must reproduce them bit for bit.
+"""
+import numpy as np
+import pytest
+
+from otfair import cot, dot
+from otfair.cot import (COT_EPS_THETA, DivergenceError, DualPair, OtConfig,
+                        Regularizer, _iter_phases, cot_run, dual_objective,
+                        dual_update, theta_update)
+from otfair.data import Dataset
+from otfair.dot import DOT_EPS_THETA, dot_run, dot_theta_update, optimal_coupling_1d
+from otfair.metrics import (EmpiricalDistribution, err_at_threshold, sdd, spdd,
+                            wasserstein1_1d)
+from otfair.model import LogisticModel, score_batch
+from otfair.rff import make_rff
+
+
+def _ref_eval_row(update, model, eval_data, target, include_sensitive, objs):
+    Z = eval_data.design_matrix(include_sensitive=include_sensitive)
+    s = score_batch(model, Z)
+    group_dists = {k: EmpiricalDistribution(s[idx])
+                   for k, idx in eval_data.groups.items()}
+    row = {
+        "update": update,
+        "wass1": sum(wasserstein1_1d(g, target) for g in group_dists.values()),
+        "err05": err_at_threshold(s, eval_data.y),
+        "sdd": sdd(group_dists, EmpiricalDistribution(s)),
+        "spdd": spdd(group_dists),
+    }
+    for k in sorted(objs):
+        row[f"obj_{'_'.join(map(str, k))}"] = objs[k]
+    return row
+
+
+def ref_cot_run(model, data, target, cfg, trace_every, include_sensitive=True):
+    eps_theta = COT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
+    stream_seed, *map_seeds = np.random.SeedSequence(cfg.seed).spawn(65)
+    rng = np.random.default_rng(stream_seed)
+    pairs, trace, objs = {}, [], {}
+    k_total = 0
+    for phase_data, duration, phase_eval in _iter_phases(data):
+        keys = phase_data.group_keys
+        if not pairs:
+            for i, key in enumerate(keys):
+                pairs[key] = DualPair.zeros(make_rff(cfg.D, cfg.sigma2, map_seeds[i]))
+        group_Z = {key: phase_data.design_matrix(
+                       phase_data.groups[key], include_sensitive=include_sensitive)
+                   for key in keys}
+        ev = phase_eval if phase_eval is not None else phase_data
+        if k_total == 0:
+            trace.append(_ref_eval_row(0, model, ev, target, include_sensitive, objs))
+        steps = duration if duration is not None else cfg.num_updates - k_total
+        steps = min(steps, cfg.num_updates - k_total)
+        for _ in range(steps):
+            k_total += 1
+            sbar = target.samples[rng.integers(0, target.n, cfg.batch_target)]
+            batches = {}
+            for key in keys:
+                Zg = group_Z[key]
+                Z = Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
+                s = score_batch(model, Z)
+                pairs[key] = dual_update(pairs[key], cfg.reg, s, sbar,
+                                         cfg.eps_dual, cfg.antisymmetric,
+                                         cfg.pair_mode)
+                objs[key] = dual_objective(pairs[key], cfg.reg, s, sbar,
+                                           cfg.pair_mode)
+                if abs(objs[key]) > 1e12:
+                    raise DivergenceError("dual objective diverged")
+                batches[key] = Z
+            pairing_count = (cfg.batch_scores * cfg.batch_target
+                             if cfg.pair_mode == "full" else cfg.batch_scores)
+            model = theta_update(model, pairs, batches, sbar, cfg.reg,
+                                 eps_theta / pairing_count, cfg.pair_mode)
+            if np.abs(model.theta).max() > 1e12:
+                raise DivergenceError("model parameters diverged")
+            if k_total % trace_every == 0:
+                trace.append(_ref_eval_row(k_total, model, ev, target,
+                                           include_sensitive, objs))
+        if k_total >= cfg.num_updates:
+            break
+    return model, trace, pairs
+
+
+def ref_dot_run(model, data, target, cfg, trace_every, include_sensitive=True):
+    eps_theta = DOT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    trace = []
+    k_total = 0
+    for phase_data, duration, phase_eval in _iter_phases(data):
+        keys = phase_data.group_keys
+        group_Z = {key: phase_data.design_matrix(
+                       phase_data.groups[key], include_sensitive=include_sensitive)
+                   for key in keys}
+        ev = phase_eval if phase_eval is not None else phase_data
+        if k_total == 0:
+            trace.append(_ref_eval_row(0, model, ev, target, include_sensitive, {}))
+        steps = duration if duration is not None else cfg.num_updates - k_total
+        steps = min(steps, cfg.num_updates - k_total)
+        for _ in range(steps):
+            k_total += 1
+            sbar = target.samples[rng.integers(0, target.n, cfg.batch_target)]
+            couplings, batches = {}, {}
+            for key in keys:
+                Zg = group_Z[key]
+                Z = Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
+                s = score_batch(model, Z)
+                couplings[key] = optimal_coupling_1d(s, sbar)
+                batches[key] = Z
+            model = dot_theta_update(model, couplings, batches, sbar, eps_theta)
+            if np.abs(model.theta).max() > 1e12:
+                raise DivergenceError("model parameters diverged")
+            if k_total % trace_every == 0:
+                trace.append(_ref_eval_row(k_total, model, ev, target,
+                                           include_sensitive, {}))
+        if k_total >= cfg.num_updates:
+            break
+    return model, trace
+
+
+def _dataset(seed, n=120):
+    """Three groups from one sensitive column, two features."""
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, 3, size=(n, 1))
+    X = rng.normal(size=(n, 2))
+    y = (rng.random(n) < 0.2 + 0.25 * A[:, 0]).astype(int)
+    y[:2] = [0, 1]
+    return Dataset(A, X, y, ["x0", "x1"], ["g"], [["a", "b", "c"]])
+
+
+MODEL = LogisticModel(np.array([0.3, -0.2, 0.5, -0.5, 0.1]))
+TARGET = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+
+
+def _data(shape):
+    """One dataset, or phases without / with their own held-out sets; the
+    phases last 8 + 20 updates, so a 22-update fit stops inside the second."""
+    if shape == "dataset":
+        return _dataset(0)
+    ds1, ds2 = _dataset(1), _dataset(2)
+    if shape == "phases":
+        return [(ds1, 8), (ds2, 20)]
+    return [(ds1, 8, _dataset(3)), (ds2, 20, _dataset(4))]
+
+
+def _rows(trace):
+    return [list(row.items()) for row in trace]
+
+
+COT_CONFIGS = {
+    "full-entropy": {},
+    "diagonal-entropy": {"pair_mode": "diagonal"},
+    "full-l2": {"reg": Regularizer("l2", 0.1)},
+    "full-entropy-not-antisymmetric": {"antisymmetric": False},
+}
+SHAPES = ["dataset", "phases", "phases-with-eval"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", sorted(COT_CONFIGS))
+def test_cot_run_matches_the_reference_loop(name, shape):
+    cfg = OtConfig(D=12, num_updates=22, batch_scores=8, batch_target=8, seed=4,
+                   **COT_CONFIGS[name])
+    model, trace, pairs = cot_run(MODEL, _data(shape), TARGET, cfg, trace_every=5)
+    ref_model, ref_trace, ref_pairs = ref_cot_run(MODEL, _data(shape), TARGET,
+                                                  cfg, trace_every=5)
+    assert np.array_equal(model.theta, ref_model.theta)
+    assert _rows(trace) == _rows(ref_trace)
+    assert list(pairs) == list(ref_pairs)
+    for key, pair in pairs.items():
+        ref = ref_pairs[key]
+        assert np.array_equal(pair.score_side.map.omegas, ref.score_side.map.omegas)
+        assert np.array_equal(pair.score_side.coeffs, ref.score_side.coeffs)
+        assert np.array_equal(pair.target_side.coeffs, ref.target_side.coeffs)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_dot_run_matches_the_reference_loop(shape):
+    cfg = OtConfig(num_updates=22, batch_scores=8, batch_target=6, seed=4)
+    model, trace = dot_run(MODEL, _data(shape), TARGET, cfg, trace_every=5)
+    ref_model, ref_trace = ref_dot_run(MODEL, _data(shape), TARGET, cfg,
+                                       trace_every=5)
+    assert np.array_equal(model.theta, ref_model.theta)
+    assert _rows(trace) == _rows(ref_trace)
+
+
+@pytest.mark.parametrize("shape", ["dataset", "phases"])
+@pytest.mark.parametrize("module, step, run", [
+    (cot, "theta_update", cot_run), (dot, "dot_theta_update", dot_run)])
+def test_fit_calls_the_module_update_step_once_per_update(
+        monkeypatch, module, step, run, shape):
+    # The benchmark times a fit by wrapping these module globals.
+    real, calls = getattr(module, step), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, step, counted)
+    cfg = OtConfig(D=12, num_updates=22, batch_scores=8, batch_target=8, seed=4)
+    run(MODEL, _data(shape), TARGET, cfg, trace_every=5)
+    assert len(calls) == 22

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from otfair import cli, synthetic
-from otfair.cot import OtConfig
 from otfair.harness import (ExperimentConfig, RunTrace, build_target,
                             load_checkpoint, load_config, persist_run,
                             phase_stats, run_batch_sweep, run_drift,

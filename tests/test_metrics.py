@@ -24,6 +24,12 @@ def test_distribution_validates_range():
         _ed([])
 
 
+@pytest.mark.parametrize("vals", [[0.2, np.nan, 0.5], [np.inf], [-np.inf, 0.5]])
+def test_distribution_rejects_non_finite(vals):
+    with pytest.raises(ValueError, match="finite"):
+        _ed(vals)
+
+
 def test_quantile_left_continuous():
     d = _ed([0.1, 0.5, 0.9])
     assert d.quantile(1.0 / 3.0) == 0.1
