@@ -100,57 +100,105 @@ class DualPair:
         return cls(DualPotential.zeros(rff_map), DualPotential.zeros(rff_map))
 
 
-def _pot_sum_and_cost(pair, xs, ys, pair_mode):
-    fx = eval_features(pair.score_side.map, xs)
-    fy = eval_features(pair.target_side.map, ys)
-    lx = fx @ pair.score_side.coeffs
-    ly = fy @ pair.target_side.coeffs
-    if pair_mode == "diagonal":
-        return fx, fy, lx + ly, np.abs(xs - ys)
-    return fx, fy, lx[:, None] + ly[None, :], np.abs(xs[:, None] - ys[None, :])
-
-
-def dual_objective(pair, reg, xs, ys, pair_mode="full"):
-    """Monte-Carlo regularized dual: mean potentials minus the conjugate penalty."""
+def _as_batches(xs, ys, pair_mode):
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.size == 0 or ys.size == 0:
         raise ValueError("batches must be non-empty")
     if pair_mode == "diagonal" and xs.size != ys.size:
         raise ValueError("diagonal pairing requires equal batch sizes")
-    fx, fy, pot, cost = _pot_sum_and_cost(pair, xs, ys, pair_mode)
-    penalty = reg.strength * conjugate(reg, (pot - cost) / reg.strength)
+    return xs, ys
+
+
+def _features(rff_map, xs, ys, pair_mode):
+    """Feature rows of both batches and the paired score differences xs - ys."""
+    fx = eval_features(rff_map, xs)
+    fy = eval_features(rff_map, ys)
+    diff = xs - ys if pair_mode == "diagonal" else xs[:, None] - ys[None, :]
+    return fx, fy, diff
+
+
+def _potentials(pair, fx, fy, pair_mode):
+    """Potential values on each batch and their paired sums."""
     lx = fx @ pair.score_side.coeffs
     ly = fy @ pair.target_side.coeffs
-    return float(lx.mean() + ly.mean() - penalty.mean())
+    pot = lx + ly if pair_mode == "diagonal" else lx[:, None] + ly[None, :]
+    return lx, ly, pot
 
 
-def dual_update(pair, reg, xs, ys, eps_dual, antisymmetric=False, pair_mode="full"):
-    """One stochastic ascent step on the dual coefficients; returns a new pair."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("batches must be non-empty")
-    if pair_mode == "diagonal" and xs.size != ys.size:
-        raise ValueError("diagonal pairing requires equal batch sizes")
-    fx, fy, pot, cost = _pot_sum_and_cost(pair, xs, ys, pair_mode)
+def _ascend(pair, reg, fx, fy, pot, cost, eps_dual, antisymmetric, pair_mode):
     a = alpha(reg, pot, cost)
     if not np.isfinite(a).all():
         raise DivergenceError("non-finite pairing weights after clipping")
     if pair_mode == "diagonal":
-        gx = (1.0 - a) @ fx / xs.size
-        gy = (1.0 - a) @ fy / ys.size
+        gx = (1.0 - a) @ fx / fx.shape[0]
+        gy = (1.0 - a) @ fy / fy.shape[0]
     else:
-        gx = (1.0 - a.mean(axis=1)) @ fx / xs.size
-        gy = (1.0 - a.mean(axis=0)) @ fy / ys.size
+        gx = (1.0 - a.mean(axis=1)) @ fx / fx.shape[0]
+        gy = (1.0 - a.mean(axis=0)) @ fy / fy.shape[0]
     if antisymmetric:
         cx = pair.score_side.coeffs + eps_dual * (gx - gy)
         cy = -cx
     else:
         cx = pair.score_side.coeffs + eps_dual * gx
         cy = pair.target_side.coeffs + eps_dual * gy
+    if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
+        raise DivergenceError("non-finite dual coefficients; reduce eps_dual")
     return DualPair(DualPotential(cx, pair.score_side.map),
                     DualPotential(cy, pair.target_side.map))
+
+
+def _objective(reg, lx, ly, pot, cost):
+    penalty = reg.strength * conjugate(reg, (pot - cost) / reg.strength)
+    return float(lx.mean() + ly.mean() - penalty.mean())
+
+
+def _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode):
+    """One group's term Z.T @ (w s (1 - s)) of the parameter gradient."""
+    a = alpha(reg, pot, cost)
+    dlam = grad_potential_input(pair.score_side, s)
+    sign = np.sign(diff)  # sign(0) = 0 by convention
+    if pair_mode == "diagonal":
+        w = (1.0 - a) * dlam + a * sign
+    else:
+        w = (1.0 - a).sum(axis=1) * dlam + (a * sign).sum(axis=1)
+    return Z.T @ (w * s * (1.0 - s))
+
+
+def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode):
+    """One COT update for one group, with each batch's features evaluated once.
+
+    s are the model's scores of the design rows Z and sbar the target batch.
+    Ascends the pair, then evaluates on the new potentials the dual
+    objective and the group's term of the parameter gradient. Returns
+    (new pair, objective, gradient term): the arithmetic of dual_update,
+    then dual_objective and _theta_gradient on the new pair.
+    """
+    s, sbar = _as_batches(s, sbar, pair_mode)
+    fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode)
+    cost = np.abs(diff)
+    pair = _ascend(pair, reg, fx, fy, _potentials(pair, fx, fy, pair_mode)[2],
+                   cost, eps_dual, antisymmetric, pair_mode)
+    lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
+    return (pair, _objective(reg, lx, ly, pot, cost),
+            _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode))
+
+
+def dual_objective(pair, reg, xs, ys, pair_mode="full"):
+    """Monte-Carlo regularized dual: mean potentials minus the conjugate penalty."""
+    xs, ys = _as_batches(xs, ys, pair_mode)
+    fx, fy, diff = _features(pair.score_side.map, xs, ys, pair_mode)
+    lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
+    return _objective(reg, lx, ly, pot, np.abs(diff))
+
+
+def dual_update(pair, reg, xs, ys, eps_dual, antisymmetric=False, pair_mode="full"):
+    """One stochastic ascent step on the dual coefficients; returns a new pair."""
+    xs, ys = _as_batches(xs, ys, pair_mode)
+    fx, fy, diff = _features(pair.score_side.map, xs, ys, pair_mode)
+    pot = _potentials(pair, fx, fy, pair_mode)[2]
+    return _ascend(pair, reg, fx, fy, pot, np.abs(diff), eps_dual,
+                   antisymmetric, pair_mode)
 
 
 def estimate_reg_w1(xs_sampler, ys_sampler, cfg):
@@ -183,37 +231,33 @@ def estimate_reg_w1(xs_sampler, ys_sampler, cfg):
 
 
 def _theta_gradient(model, pairs, batches, target_scores, reg, pair_mode):
-    sbar = np.asarray(target_scores, dtype=float).ravel()
+    """Parameter gradient of the summed dual objectives, duals held fixed:
+    the sum over groups of Z.T @ (w s (1 - s))."""
     grad = np.zeros_like(model.theta)
     for key, Z in batches.items():
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         pair = pairs[key]
         if Z.shape[1] != model.theta.shape[0]:
             raise ValueError("design width does not match model dimension")
-        s = score_batch(model, Z)
-        if pair_mode == "diagonal" and s.size != sbar.size:
-            raise ValueError("diagonal pairing requires equal batch sizes")
-        _, _, pot, cost = _pot_sum_and_cost(pair, s, sbar, pair_mode)
-        a = alpha(reg, pot, cost)
-        dlam = grad_potential_input(pair.score_side, s)
-        if pair_mode == "diagonal":
-            sign = np.sign(s - sbar)  # sign(0) = 0 by convention
-            w = (1.0 - a) * dlam + a * sign
-        else:
-            sign = np.sign(s[:, None] - sbar[None, :])
-            w = (1.0 - a).sum(axis=1) * dlam + (a * sign).sum(axis=1)
-        grad += Z.T @ (w * s * (1.0 - s))
+        s, sbar = _as_batches(score_batch(model, Z), target_scores, pair_mode)
+        fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode)
+        pot = _potentials(pair, fx, fy, pair_mode)[2]
+        grad += _theta_term(pair, reg, Z, s, pot, np.abs(diff), diff, pair_mode)
     return grad
 
 
-def theta_update(model, pairs, batches, target_scores, reg, eps_theta,
-                 pair_mode="full"):
-    """One descent step on the model parameters, duals held fixed.
+def theta_update(model, grad, eps_theta):
+    """One descent step theta - eps_theta * grad on the model parameters.
 
-    batches maps each group key to its design-matrix rows; the per-pair
-    1/(N_s N_target) normalization is absorbed into eps_theta.
+    grad is the parameter gradient of the summed dual objectives with the
+    duals held fixed: the sum of the groups' group_step terms, which
+    _theta_gradient recomputes from the model and the batches. The per-pair
+    1/(N_s N_target) normalization is absorbed into eps_theta. A non-finite
+    gradient raises DivergenceError.
     """
-    grad = _theta_gradient(model, pairs, batches, target_scores, reg, pair_mode)
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != model.theta.shape:
+        raise ValueError("gradient length does not match model dimension")
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite parameter gradient; reduce step sizes")
     return LogisticModel(model.theta - eps_theta * grad, model.names,
@@ -256,6 +300,8 @@ def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
     trace_every updates on the phase's held-out set (else its train set);
     objs holds the per-group columns they report.
     """
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
     if target.n < 1:
         raise ValueError("target distribution is empty")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
@@ -295,28 +341,32 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     """Alternating dual/parameter updates over a dataset or dataset schedule.
 
     Per iteration: sample a target batch; for each group sample a score
-    batch, ascend its dual pair, then descend the model parameters. Dual
-    pairs are kept across phase shifts. Returns (final model, trace rows,
-    final dual pairs). Deterministic under cfg.seed.
+    batch and take its group_step (ascend its dual pair, evaluate the
+    objective and the group's gradient term), then take one theta_update
+    on the summed gradient. Dual pairs are kept across phase
+    shifts. Returns (final model, trace rows, final dual pairs).
+    Deterministic under cfg.seed.
     """
     eps_theta = COT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
     pairing_count = (cfg.batch_scores * cfg.batch_target
                      if cfg.pair_mode == "full" else cfg.batch_scores)
-    map_seeds = np.random.SeedSequence(cfg.seed).spawn(65)[1:]
     pairs, objs = {}, {}
 
     def step(model, sbar, batches, scores):
+        grad = np.zeros_like(model.theta)
         for i, (key, s) in enumerate(scores.items()):
             if key not in pairs:
-                pairs[key] = DualPair.zeros(make_rff(cfg.D, cfg.sigma2, map_seeds[i]))
-            pairs[key] = dual_update(pairs[key], cfg.reg, s, sbar, cfg.eps_dual,
-                                     cfg.antisymmetric, cfg.pair_mode)
-            obj = objs[key] = dual_objective(pairs[key], cfg.reg, s, sbar,
-                                             cfg.pair_mode)
+                # map seed i: child i + 1 of cfg.seed; child 0 is the batch stream
+                seed = np.random.SeedSequence(cfg.seed, spawn_key=(i + 1,))
+                pairs[key] = DualPair.zeros(make_rff(cfg.D, cfg.sigma2, seed))
+            pairs[key], obj, term = group_step(pairs[key], cfg.reg, batches[key],
+                                               s, sbar, cfg.eps_dual,
+                                               cfg.antisymmetric, cfg.pair_mode)
+            objs[key] = obj
             if not np.isfinite(obj) or abs(obj) > 1e12:
                 raise DivergenceError("dual objective diverged; reduce eps_dual")
-        return theta_update(model, pairs, batches, sbar, cfg.reg,
-                            eps_theta / pairing_count, cfg.pair_mode)
+            grad += term
+        return theta_update(model, grad, eps_theta / pairing_count)
 
     model, trace = _fit_loop(model, data, target, cfg, trace_every,
                              include_sensitive, step, objs)

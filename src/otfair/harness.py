@@ -45,6 +45,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if self.trace_every < 1:
+            raise ValueError(f"trace_every must be >= 1, got {self.trace_every}")
 
     def out_dir(self, default_name="run"):
         if self.out:

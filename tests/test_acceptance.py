@@ -183,6 +183,7 @@ def bench(census_split, base_model):
     return train, test, base_model, target, final_metrics, lr_err, lr_w1
 
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_table_band(bench):
     train, _, model, target, final_metrics, lr_err, lr_w1 = bench
     cfg = OtConfig(num_updates=20_000, seed=0)
@@ -198,6 +199,7 @@ def test_criterion_5_desk_scale_table_band(bench):
           + ", ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_6_small_batch_bias(bench):
     train, _, model, target, final_metrics, _, _ = bench
     cot_err, cot_w1, dot_err, dot_w1 = [], [], [], []
@@ -228,6 +230,7 @@ def _updates_to_near_min(rows, phase, duration=5000, slack=1.1):
     return float(upd[np.nonzero(w <= w.min() * slack)[0][0]])
 
 
+@pytest.mark.slow
 def test_criterion_7_drift_readaptation_is_faster(census_path):
     rates = [0.2, 0.3, 0.4, 0.1, 0.4, 0.2]
     repeats = {0.2: (0, 5), 0.4: (2, 4)}

@@ -7,8 +7,9 @@ from otfair import cot
 from otfair.cot import (EXP_CLIP, DivergenceError, DualPair, OtConfig,
                         Regularizer, alpha, conjugate, cot_run,
                         dual_objective, dual_update, estimate_reg_w1,
-                        theta_update, _theta_gradient)
+                        group_step, theta_update, _theta_gradient)
 from otfair.data import Dataset
+from otfair.dot import dot_run
 from otfair.metrics import EmpiricalDistribution
 from otfair.model import LogisticModel, score_batch
 from otfair.rff import DualPotential, eval_features, eval_potential, \
@@ -197,7 +198,8 @@ def test_theta_update_matches_naive_triple_loop(reg):
     Z = rng.normal(size=(4, 3))
     sbar = rng.uniform(0.1, 0.9, 3)
     expect = _naive_theta_gradient(model, pair, Z, sbar, reg)
-    new = theta_update(model, {("g",): pair}, {("g",): Z}, sbar, reg, 0.01)
+    grad = _theta_gradient(model, {("g",): pair}, {("g",): Z}, sbar, reg, "full")
+    new = theta_update(model, grad, 0.01)
     assert np.allclose(new.theta, model.theta - 0.01 * expect, atol=1e-12)
 
 
@@ -226,8 +228,43 @@ def test_theta_gradient_matches_finite_differences(reg, pair_mode):
 def test_theta_update_width_mismatch():
     model = LogisticModel(np.zeros(3))
     with pytest.raises(ValueError):
-        theta_update(model, {("g",): _pair()}, {("g",): np.zeros((2, 5))},
-                     np.array([0.5]), ENT, 0.01)
+        _theta_gradient(model, {("g",): _pair()}, {("g",): np.zeros((2, 5))},
+                        np.array([0.5]), ENT, "full")
+    with pytest.raises(ValueError):
+        theta_update(model, np.zeros(5), 0.01)
+
+
+def test_theta_update_non_finite_gradient_is_divergence():
+    with pytest.raises(DivergenceError, match="gradient"):
+        theta_update(LogisticModel(np.zeros(3)), np.array([0.0, np.nan, 1.0]),
+                     0.01)
+
+
+@pytest.mark.parametrize("reg", [ENT, L2])
+@pytest.mark.parametrize("pair_mode", ["full", "diagonal"])
+@pytest.mark.parametrize("antisymmetric", [False, True])
+def test_group_step_is_update_then_objective_then_gradient(reg, pair_mode,
+                                                           antisymmetric):
+    rng = np.random.default_rng(9)
+    model = LogisticModel(rng.normal(size=3) * 0.5)
+    pair = _pair()
+    Z = rng.normal(size=(5, 3))
+    sbar = rng.uniform(0.1, 0.9, 5)
+    s = score_batch(model, Z)
+    new, obj, term = group_step(pair, reg, Z, s, sbar, 0.1, antisymmetric,
+                                pair_mode)
+    expect = dual_update(pair, reg, s, sbar, 0.1, antisymmetric, pair_mode)
+    assert np.array_equal(new.score_side.coeffs, expect.score_side.coeffs)
+    assert np.array_equal(new.target_side.coeffs, expect.target_side.coeffs)
+    assert obj == dual_objective(expect, reg, s, sbar, pair_mode)
+    assert np.array_equal(term, _theta_gradient(model, {0: expect}, {0: Z},
+                                                sbar, reg, pair_mode))
+
+
+def test_dual_update_non_finite_coefficients_is_divergence():
+    with pytest.raises(DivergenceError, match="dual coefficients"):
+        dual_update(_pair(), ENT, np.array([0.2, 0.4]), np.array([0.7, 0.9]),
+                    np.inf)
 
 
 def test_config_validation():
@@ -291,19 +328,93 @@ def test_cot_run_over_phases():
 
 
 def test_cot_run_nan_objective_names_the_update(monkeypatch):
-    real, calls = cot.dual_objective, []
+    # The fit evaluates the conjugate penalty once per group per update,
+    # for the objective only; a NaN penalty makes the objective NaN.
+    real, calls = cot.conjugate, []
 
     def nan_on_third(*args):
         calls.append(1)
-        return float("nan") if len(calls) == 3 else real(*args)
+        out = real(*args)
+        return out * np.nan if len(calls) == 3 else out
 
-    monkeypatch.setattr(cot, "dual_objective", nan_on_third)
+    monkeypatch.setattr(cot, "conjugate", nan_on_third)
     ds = _tiny_dataset()  # two groups: the third call is update 2
     model = LogisticModel(np.array([0.2, 0.5, -0.5, 0.0]))
     target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
     cfg = OtConfig(num_updates=5, batch_scores=8, batch_target=8, seed=1)
     with pytest.raises(DivergenceError, match=r"update 2\b.*dual objective"):
         cot_run(model, ds, target, cfg)
+
+
+def test_cot_run_non_finite_dual_coefficients_names_the_update(monkeypatch):
+    # After two updates the dual step becomes infinite, so the third
+    # ascent yields non-finite coefficients.
+    cfg = OtConfig(num_updates=5, batch_scores=8, batch_target=8, seed=1)
+    real, calls = cot.theta_update, []
+
+    def blow_up_after_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            cfg.eps_dual = np.inf
+        return real(*args)
+
+    monkeypatch.setattr(cot, "theta_update", blow_up_after_second)
+    model = LogisticModel(np.array([0.2, 0.5, -0.5, 0.0]))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    with pytest.raises(DivergenceError, match=r"update 3\b.*dual coefficients"):
+        cot_run(model, _tiny_dataset(), target, cfg)
+
+
+def _grid_dataset(levels_a=9, levels_b=8, per_group=3, seed=0):
+    """One group per combination of two sensitive columns."""
+    rng = np.random.default_rng(seed)
+    combos = [(a, b) for a in range(levels_a) for b in range(levels_b)]
+    A = np.repeat(np.array(combos), per_group, axis=0)
+    n = A.shape[0]
+    X = rng.normal(size=(n, 2))
+    y = (rng.random(n) < 0.5).astype(int)
+    return Dataset(A, X, y, ["x0", "x1"], ["a", "b"],
+                   [[f"a{i}" for i in range(levels_a)],
+                    [f"b{i}" for i in range(levels_b)]])
+
+
+def test_cot_run_fits_more_than_64_groups():
+    ds = _grid_dataset()
+    assert len(ds.group_keys) == 72
+    model = LogisticModel(np.zeros(len(ds.design_names())))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(D=8, num_updates=2, batch_scores=4, batch_target=4, seed=2)
+    fitted, trace, pairs = cot_run(model, ds, target, cfg, trace_every=1)
+    assert list(pairs) == ds.group_keys
+    assert len({p.score_side.map.omegas.tobytes() for p in pairs.values()}) == 72
+    assert np.isfinite(fitted.theta).all()
+    assert [row["update"] for row in trace] == [0, 1, 2]
+
+
+def test_cot_map_seeds_match_the_spawned_children():
+    # Group i's map comes from child i + 1 of SeedSequence(cfg.seed), as
+    # when the seeds were spawn(65)[1:]; fits of up to 64 groups are unchanged.
+    ds = _grid_dataset(8, 8)
+    model = LogisticModel(np.zeros(len(ds.design_names())))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(D=8, num_updates=1, batch_scores=4, batch_target=4, seed=7)
+    _, _, pairs = cot_run(model, ds, target, cfg, trace_every=1)
+    spawned = np.random.SeedSequence(cfg.seed).spawn(65)[1:]
+    for i in (0, 1, 5, 63):
+        expect = make_rff(cfg.D, cfg.sigma2, spawned[i])
+        got = pairs[ds.group_keys[i]].score_side.map
+        assert np.array_equal(got.omegas, expect.omegas)
+        assert np.array_equal(got.phases, expect.phases)
+
+
+@pytest.mark.parametrize("trace_every", [0, -3])
+def test_fit_rejects_trace_every_below_one(trace_every):
+    model = LogisticModel(np.array([0.2, 0.5, -0.5, 0.0]))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(num_updates=5, batch_scores=8, batch_target=8, seed=1)
+    for run in (cot_run, dot_run):
+        with pytest.raises(ValueError, match="trace_every"):
+            run(model, _tiny_dataset(), target, cfg, trace_every=trace_every)
 
 
 class _EmptyTarget:

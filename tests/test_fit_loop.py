@@ -2,21 +2,95 @@
 
 The reference loops below are the earlier separate `cot_run` / `dot_run`
 bodies, with the removed resume and dual-reset options fixed at the only
-values any caller used. The shared loop must reproduce them bit for bit.
+values any caller used. The COT reference carries its own copy of the
+earlier per-update arithmetic (three feature passes per group: ascent,
+objective, parameter gradient), so it does not share code with the fused
+step it checks. The shared loop must reproduce them bit for bit.
 """
 import numpy as np
 import pytest
 
 from otfair import cot, dot
 from otfair.cot import (COT_EPS_THETA, DivergenceError, DualPair, OtConfig,
-                        Regularizer, _iter_phases, cot_run, dual_objective,
-                        dual_update, theta_update)
+                        Regularizer, _iter_phases, alpha, conjugate, cot_run,
+                        estimate_reg_w1)
 from otfair.data import Dataset
 from otfair.dot import DOT_EPS_THETA, dot_run, dot_theta_update, optimal_coupling_1d
 from otfair.metrics import (EmpiricalDistribution, err_at_threshold, sdd, spdd,
                             wasserstein1_1d)
 from otfair.model import LogisticModel, score_batch
-from otfair.rff import make_rff
+from otfair.rff import (DualPotential, eval_features, grad_potential_input,
+                        make_rff)
+
+
+def ref_pot_sum_and_cost(pair, xs, ys, pair_mode):
+    fx = eval_features(pair.score_side.map, xs)
+    fy = eval_features(pair.target_side.map, ys)
+    lx = fx @ pair.score_side.coeffs
+    ly = fy @ pair.target_side.coeffs
+    if pair_mode == "diagonal":
+        return fx, fy, lx + ly, np.abs(xs - ys)
+    return fx, fy, lx[:, None] + ly[None, :], np.abs(xs[:, None] - ys[None, :])
+
+
+def ref_dual_objective(pair, reg, xs, ys, pair_mode="full"):
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    fx, fy, pot, cost = ref_pot_sum_and_cost(pair, xs, ys, pair_mode)
+    penalty = reg.strength * conjugate(reg, (pot - cost) / reg.strength)
+    lx = fx @ pair.score_side.coeffs
+    ly = fy @ pair.target_side.coeffs
+    return float(lx.mean() + ly.mean() - penalty.mean())
+
+
+def ref_dual_update(pair, reg, xs, ys, eps_dual, antisymmetric=False,
+                    pair_mode="full"):
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    fx, fy, pot, cost = ref_pot_sum_and_cost(pair, xs, ys, pair_mode)
+    a = alpha(reg, pot, cost)
+    if pair_mode == "diagonal":
+        gx = (1.0 - a) @ fx / xs.size
+        gy = (1.0 - a) @ fy / ys.size
+    else:
+        gx = (1.0 - a.mean(axis=1)) @ fx / xs.size
+        gy = (1.0 - a.mean(axis=0)) @ fy / ys.size
+    if antisymmetric:
+        cx = pair.score_side.coeffs + eps_dual * (gx - gy)
+        cy = -cx
+    else:
+        cx = pair.score_side.coeffs + eps_dual * gx
+        cy = pair.target_side.coeffs + eps_dual * gy
+    return DualPair(DualPotential(cx, pair.score_side.map),
+                    DualPotential(cy, pair.target_side.map))
+
+
+def ref_theta_gradient(model, pairs, batches, target_scores, reg, pair_mode):
+    sbar = np.asarray(target_scores, dtype=float).ravel()
+    grad = np.zeros_like(model.theta)
+    for key, Z in batches.items():
+        pair = pairs[key]
+        s = score_batch(model, Z)
+        _, _, pot, cost = ref_pot_sum_and_cost(pair, s, sbar, pair_mode)
+        a = alpha(reg, pot, cost)
+        dlam = grad_potential_input(pair.score_side, s)
+        if pair_mode == "diagonal":
+            sign = np.sign(s - sbar)
+            w = (1.0 - a) * dlam + a * sign
+        else:
+            sign = np.sign(s[:, None] - sbar[None, :])
+            w = (1.0 - a).sum(axis=1) * dlam + (a * sign).sum(axis=1)
+        grad += Z.T @ (w * s * (1.0 - s))
+    return grad
+
+
+def ref_theta_update(model, pairs, batches, target_scores, reg, eps_theta,
+                     pair_mode):
+    grad = ref_theta_gradient(model, pairs, batches, target_scores, reg,
+                              pair_mode)
+    assert np.isfinite(grad).all()
+    return LogisticModel(model.theta - eps_theta * grad, model.names,
+                         model.converged)
 
 
 def _ref_eval_row(update, model, eval_data, target, include_sensitive, objs):
@@ -63,18 +137,18 @@ def ref_cot_run(model, data, target, cfg, trace_every, include_sensitive=True):
                 Zg = group_Z[key]
                 Z = Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
                 s = score_batch(model, Z)
-                pairs[key] = dual_update(pairs[key], cfg.reg, s, sbar,
-                                         cfg.eps_dual, cfg.antisymmetric,
-                                         cfg.pair_mode)
-                objs[key] = dual_objective(pairs[key], cfg.reg, s, sbar,
-                                           cfg.pair_mode)
+                pairs[key] = ref_dual_update(pairs[key], cfg.reg, s, sbar,
+                                             cfg.eps_dual, cfg.antisymmetric,
+                                             cfg.pair_mode)
+                objs[key] = ref_dual_objective(pairs[key], cfg.reg, s, sbar,
+                                               cfg.pair_mode)
                 if abs(objs[key]) > 1e12:
                     raise DivergenceError("dual objective diverged")
                 batches[key] = Z
             pairing_count = (cfg.batch_scores * cfg.batch_target
                              if cfg.pair_mode == "full" else cfg.batch_scores)
-            model = theta_update(model, pairs, batches, sbar, cfg.reg,
-                                 eps_theta / pairing_count, cfg.pair_mode)
+            model = ref_theta_update(model, pairs, batches, sbar, cfg.reg,
+                                     eps_theta / pairing_count, cfg.pair_mode)
             if np.abs(model.theta).max() > 1e12:
                 raise DivergenceError("model parameters diverged")
             if k_total % trace_every == 0:
@@ -155,6 +229,9 @@ COT_CONFIGS = {
     "diagonal-entropy": {"pair_mode": "diagonal"},
     "full-l2": {"reg": Regularizer("l2", 0.1)},
     "full-entropy-not-antisymmetric": {"antisymmetric": False},
+    "diagonal-l2-not-antisymmetric": {"pair_mode": "diagonal",
+                                      "reg": Regularizer("l2", 0.1),
+                                      "antisymmetric": False},
 }
 SHAPES = ["dataset", "phases", "phases-with-eval"]
 
@@ -175,6 +252,36 @@ def test_cot_run_matches_the_reference_loop(name, shape):
         assert np.array_equal(pair.score_side.map.omegas, ref.score_side.map.omegas)
         assert np.array_equal(pair.score_side.coeffs, ref.score_side.coeffs)
         assert np.array_equal(pair.target_side.coeffs, ref.target_side.coeffs)
+
+
+def ref_estimate_reg_w1(xs_sampler, ys_sampler, cfg):
+    map_seed, stream_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    pair = DualPair.zeros(make_rff(cfg.D, cfg.sigma2, map_seed))
+    rng = np.random.default_rng(stream_seed)
+    acc, count = 0.0, 0
+    for k in range(cfg.num_updates):
+        xs = np.asarray(xs_sampler(rng, cfg.batch_scores), dtype=float)
+        ys = np.asarray(ys_sampler(rng, cfg.batch_target), dtype=float)
+        pair = ref_dual_update(pair, cfg.reg, xs, ys, cfg.eps_dual,
+                               cfg.antisymmetric, cfg.pair_mode)
+        obj = ref_dual_objective(pair, cfg.reg, xs, ys, cfg.pair_mode)
+        if k >= cfg.num_updates // 2:
+            acc += obj
+            count += 1
+    return acc / max(count, 1), pair
+
+
+@pytest.mark.parametrize("name", sorted(COT_CONFIGS))
+def test_estimate_reg_w1_matches_the_reference_arithmetic(name):
+    cfg = OtConfig(D=12, num_updates=40, batch_scores=8, batch_target=8,
+                   seed=5, **COT_CONFIGS[name])
+    xs = lambda r, n: r.beta(2.0, 5.0, n)
+    ys = lambda r, n: r.uniform(0.2, 0.9, n)
+    value, pair = estimate_reg_w1(xs, ys, cfg)
+    ref_value, ref_pair = ref_estimate_reg_w1(xs, ys, cfg)
+    assert value == ref_value
+    assert np.array_equal(pair.score_side.coeffs, ref_pair.score_side.coeffs)
+    assert np.array_equal(pair.target_side.coeffs, ref_pair.target_side.coeffs)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

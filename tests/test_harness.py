@@ -220,3 +220,18 @@ def test_summary_table_reads_metrics(config_path, tmp_path):
     out = persist_run(str(tmp_path / "lr"), trace, row)
     rows = summary_table([out])
     assert rows[0]["method"] == "LR"
+
+
+def test_experiment_config_rejects_trace_every_below_one(small_csv, tmp_path,
+                                                         config_path):
+    with pytest.raises(ValueError, match="trace_every"):
+        ExperimentConfig(trace_every=0)
+    p = tmp_path / "zero.ini"
+    p.write_text(_config_text(small_csv).replace("trace_every = 20",
+                                                 "trace_every = 0"))
+    with pytest.raises(ValueError, match="trace_every"):
+        load_config(str(p))
+    with pytest.raises(ValueError, match="trace_every"):
+        cli.main(["run", "--config", config_path, "--method", "COT",
+                  "--trace-every", "0", "--out", str(tmp_path / "run")])
+    assert not os.path.exists(tmp_path / "run")
