@@ -165,6 +165,18 @@ def _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode):
     return Z.T @ (w * s * (1.0 - s))
 
 
+def _ascend_and_evaluate(pair, reg, xs, ys, eps_dual, antisymmetric, pair_mode):
+    """Ascend the pair with each batch's features evaluated once, then
+    evaluate the dual objective on the new potentials. Returns (new pair,
+    objective, new paired potentials, cost, xs - ys)."""
+    fx, fy, diff = _features(pair.score_side.map, xs, ys, pair_mode)
+    cost = np.abs(diff)
+    pair = _ascend(pair, reg, fx, fy, _potentials(pair, fx, fy, pair_mode)[2],
+                   cost, eps_dual, antisymmetric, pair_mode)
+    lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
+    return pair, _objective(reg, lx, ly, pot, cost), pot, cost, diff
+
+
 def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode):
     """One COT update for one group, with each batch's features evaluated once.
 
@@ -175,13 +187,9 @@ def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode):
     then dual_objective and _theta_gradient on the new pair.
     """
     s, sbar = _as_batches(s, sbar, pair_mode)
-    fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode)
-    cost = np.abs(diff)
-    pair = _ascend(pair, reg, fx, fy, _potentials(pair, fx, fy, pair_mode)[2],
-                   cost, eps_dual, antisymmetric, pair_mode)
-    lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
-    return (pair, _objective(reg, lx, ly, pot, cost),
-            _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode))
+    pair, obj, pot, cost, diff = _ascend_and_evaluate(
+        pair, reg, s, sbar, eps_dual, antisymmetric, pair_mode)
+    return pair, obj, _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode)
 
 
 def dual_objective(pair, reg, xs, ys, pair_mode="full"):
@@ -216,11 +224,10 @@ def estimate_reg_w1(xs_sampler, ys_sampler, cfg):
     burn_in = cfg.num_updates // 2
     acc, count = 0.0, 0
     for k in range(cfg.num_updates):
-        xs = np.asarray(xs_sampler(rng, cfg.batch_scores), dtype=float)
-        ys = np.asarray(ys_sampler(rng, cfg.batch_target), dtype=float)
-        pair = dual_update(pair, cfg.reg, xs, ys, cfg.eps_dual,
-                           cfg.antisymmetric, cfg.pair_mode)
-        obj = dual_objective(pair, cfg.reg, xs, ys, cfg.pair_mode)
+        xs, ys = _as_batches(xs_sampler(rng, cfg.batch_scores),
+                             ys_sampler(rng, cfg.batch_target), cfg.pair_mode)
+        pair, obj = _ascend_and_evaluate(pair, cfg.reg, xs, ys, cfg.eps_dual,
+                                         cfg.antisymmetric, cfg.pair_mode)[:2]
         if not np.isfinite(obj) or abs(obj) > 1e12:
             raise DivergenceError(
                 f"dual objective diverged at update {k}; reduce eps_dual")

@@ -22,6 +22,8 @@ METHODS = ("LR", "COT", "DOT", "DPP")
 
 OUT_ROOT_ENV = "OTFAIR_OUT"
 
+DESK_ROWS = 10_000  # rows kept by desk_scale, drawn with split_seed
+
 
 @dataclass
 class ExperimentConfig:
@@ -39,7 +41,6 @@ class ExperimentConfig:
     include_sensitive: bool = True
     trace_every: int = 50
     desk_scale: bool = False
-    desk_rows: int = 10_000
     out: str = ""
 
     def __post_init__(self):
@@ -182,9 +183,9 @@ def build_target(ds, model, spec, include_sensitive=True):
 
 def _load_and_split(cfg):
     ds = load_dataset(cfg.dataset, cfg.schema, cfg.delimiter)
-    if cfg.desk_scale and ds.n > cfg.desk_rows:
+    if cfg.desk_scale and ds.n > DESK_ROWS:
         rng = np.random.default_rng(cfg.split_seed)
-        ds = ds.subset(np.sort(rng.choice(ds.n, cfg.desk_rows, replace=False)))
+        ds = ds.subset(np.sort(rng.choice(ds.n, DESK_ROWS, replace=False)))
     return train_test_split(ds, cfg.test_frac, cfg.split_seed)
 
 

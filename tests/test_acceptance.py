@@ -18,10 +18,10 @@ from otfair.dot import dot_run, optimal_coupling_1d, coupling_cost
 from otfair.harness import ExperimentConfig, persist_run, run_drift, \
     run_experiment
 from otfair.metrics import (EmpiricalDistribution, err_at_threshold, pooled,
-                            sdd, spdd, w1_barycenter, wasserstein1_1d,
-                            wass1_total)
+                            sdd, spdd, w1_barycenter, wasserstein1_1d)
 from otfair.model import LogisticModel, score_batch
 from otfair.rff import DualPotential, eval_potential, make_rff
+from oracles import survival_gap_integral
 
 
 def lp_transport_cost(xs, ys):
@@ -262,7 +262,8 @@ def test_criterion_8_metric_identities(rng):
     groups = {k: EmpiricalDistribution(rng.uniform(0, 1, n))
               for k, n in [(("a",), 37), (("b",), 21), (("c",), 50)]}
     keys = sorted(groups)
-    pair_sum = sum(wasserstein1_1d(groups[x], groups[y])
+    # SPDD is built from pairwise W1, so the pair sums use the survival integral
+    pair_sum = sum(survival_gap_integral(groups[x], groups[y])
                    for i, x in enumerate(keys) for y in keys[i + 1:])
     assert abs(spdd(groups) - pair_sum) < 1e-10
 
@@ -276,13 +277,13 @@ def test_criterion_8_metric_identities(rng):
     assert abs(sdd(groups, pool) - mc) < 1e-2
 
     bary = w1_barycenter(groups)
-    raw = {k: d.samples for k, d in groups.items()}
-    best = wass1_total(raw, bary)
+    best = sum(wasserstein1_1d(g, bary) for g in groups.values())
     for _ in range(100):
         cand = EmpiricalDistribution(rng.uniform(0, 1, rng.integers(5, 120)))
-        assert best <= wass1_total(raw, cand) + 1e-9
-    print("criterion 8: PASS (SPDD pair identity 1e-10, SDD vs 1e6-sample "
-          "Monte-Carlo 1e-2, barycenter beats 100 candidates)")
+        assert best <= sum(wasserstein1_1d(g, cand) for g in groups.values()) + 1e-9
+    print("criterion 8: PASS (SPDD vs pairwise survival integrals 1e-10, "
+          "SDD vs 1e6-sample Monte-Carlo 1e-2, barycenter beats 100 "
+          "candidates)")
 
 
 def test_criterion_9_reruns_are_byte_identical(census_path, tmp_path):

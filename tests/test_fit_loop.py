@@ -284,6 +284,24 @@ def test_estimate_reg_w1_matches_the_reference_arithmetic(name):
     assert np.array_equal(pair.target_side.coeffs, ref_pair.target_side.coeffs)
 
 
+@pytest.mark.parametrize("pair_mode", ["full", "diagonal"])
+def test_estimate_reg_w1_evaluates_features_once_per_batch(monkeypatch,
+                                                           pair_mode):
+    # One ascent plus one objective per update share each side's features.
+    real, calls = cot.eval_features, []
+
+    def counted(rff_map, xs):
+        calls.append(len(xs))
+        return real(rff_map, xs)
+
+    monkeypatch.setattr(cot, "eval_features", counted)
+    cfg = OtConfig(D=12, num_updates=15, batch_scores=8, batch_target=8,
+                   seed=5, pair_mode=pair_mode)
+    estimate_reg_w1(lambda r, n: r.beta(2.0, 5.0, n),
+                    lambda r, n: r.uniform(0.2, 0.9, n), cfg)
+    assert calls == [8, 8] * 15
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_dot_run_matches_the_reference_loop(shape):
     cfg = OtConfig(num_updates=22, batch_scores=8, batch_target=6, seed=4)

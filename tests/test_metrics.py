@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
 from otfair.metrics import (EmpiricalDistribution, err_at_threshold, pooled,
-                            sdd, spdd, w1_barycenter, wass1_total,
-                            wasserstein1_1d, _survival_gap_integral)
+                            sdd, spdd, w1_barycenter, wasserstein1_1d)
+from oracles import survival_gap_integral
 
 unit_samples = st.lists(st.floats(min_value=0.0, max_value=1.0,
                                   allow_nan=False), min_size=1, max_size=30)
@@ -38,13 +38,6 @@ def test_quantile_left_continuous():
     assert d.quantile(1.0) == 0.9
 
 
-def test_cdf_right_continuous():
-    d = _ed([0.2, 0.2, 0.8])
-    assert d.cdf(0.2) == pytest.approx(2.0 / 3.0)
-    assert d.cdf(0.2 - 1e-9) == 0.0
-    assert d.cdf(1.0) == 1.0
-
-
 @settings(deadline=None, max_examples=100)
 @given(unit_samples, unit_samples)
 def test_w1_matches_reference_solver(a, b):
@@ -68,6 +61,26 @@ def test_w1_equal_sizes_is_sorted_mean():
     assert wasserstein1_1d(_ed(a), _ed(b)) == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("n, m", [(400, 400), (400, 173), (1, 250), (250, 1),
+                                  (1, 1)])
+def test_w1_matches_both_oracles_on_tie_heavy_samples(n, m):
+    # Values on a 1000-point grid, so most samples tie within and across sides.
+    rng = np.random.default_rng(n * 1000 + m)
+    a = rng.integers(0, 1001, n) / 1000
+    b = np.minimum(rng.integers(0, 1001, m) + rng.integers(0, 300, m), 1000) / 1000
+    got = wasserstein1_1d(_ed(a), _ed(b))
+    assert got == pytest.approx(survival_gap_integral(_ed(a), _ed(b)), abs=1e-12)
+    assert got == pytest.approx(wasserstein_distance(a, b), abs=1e-12)
+
+
+def test_w1_is_exact_on_dyadic_samples():
+    # Samples and the size product are powers of two, so every step is exact.
+    a, b = [0.25, 0.5, 0.5, 1.0], [0.0, 0.75]
+    # |F_a - F_b| is 1/2 on [0, .25) and 1/4 on [.25, 1)
+    assert wasserstein1_1d(_ed(a), _ed(b)) == 0.3125
+    assert wasserstein1_1d(_ed(b), _ed(a)) == 0.3125
+
+
 def test_err_at_threshold_tie_predicts_zero():
     scores = np.array([0.5, 0.5, 0.6, 0.4])
     labels = np.array([0, 1, 1, 0])
@@ -86,8 +99,22 @@ def test_survival_gap_equals_w1():
     for _ in range(20):
         a = _ed(rng.uniform(0, 1, rng.integers(1, 12)))
         b = _ed(rng.uniform(0, 1, rng.integers(1, 12)))
-        assert _survival_gap_integral(a, b) == pytest.approx(
+        assert survival_gap_integral(a, b) == pytest.approx(
             wasserstein1_1d(a, b), abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sdd_and_spdd_match_the_survival_oracle(seed):
+    rng = np.random.default_rng(seed)
+    groups = {(k,): _ed(np.round(rng.beta(2, 1 + k, rng.integers(1, 60)), 2))
+              for k in range(rng.integers(1, 6))}
+    pool = pooled(groups)
+    keys = sorted(groups)
+    assert sdd(groups, pool) == pytest.approx(
+        sum(survival_gap_integral(g, pool) for g in groups.values()), abs=1e-12)
+    assert spdd(groups) == pytest.approx(
+        sum(survival_gap_integral(groups[x], groups[y])
+            for i, x in enumerate(keys) for y in keys[i + 1:]), abs=1e-12)
 
 
 def test_sdd_monte_carlo_oracle(rng):
@@ -120,12 +147,6 @@ def test_pooled_concatenates_by_default(rng):
     assert pooled(groups).samples.tolist() == [0.1, 0.2, 0.9]
 
 
-def test_pooled_equal_weights_balances_mass():
-    groups = {("a",): _ed([0.0] * 99), ("b",): _ed([1.0])}
-    p = pooled(groups, equal_weights=True, grid=100)
-    assert (p.samples == 1.0).mean() == pytest.approx(0.5)
-
-
 def test_barycenter_of_identical_groups_is_the_group(rng):
     s = np.sort(rng.uniform(0, 1, 25))
     groups = {("a",): _ed(s), ("b",): _ed(s)}
@@ -138,10 +159,10 @@ def test_barycenter_beats_random_candidates(rng):
               ("b",): _ed(rng.beta(5, 2, 60)),
               ("c",): _ed(rng.uniform(0, 1, 20))}
     bary = w1_barycenter(groups)
-    best = wass1_total({k: d.samples for k, d in groups.items()}, bary)
+    best = sum(wasserstein1_1d(g, bary) for g in groups.values())
     for _ in range(50):
         cand = _ed(rng.uniform(0, 1, rng.integers(5, 80)))
-        cost = wass1_total({k: d.samples for k, d in groups.items()}, cand)
+        cost = sum(wasserstein1_1d(g, cand) for g in groups.values())
         assert best <= cost + 1e-9
 
 
