@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +16,11 @@ class SchemaError(ValueError):
 
 
 class RowError(ValueError):
-    """A data row could not be parsed; carries the offending row index."""
+    """A data row could not be parsed.
+
+    row_index counts the data rows below the header from 0, dropped rows
+    included, so it names the same row whichever check finds it.
+    """
 
     def __init__(self, row_index, message):
         super().__init__(f"row {row_index}: {message}")
@@ -181,11 +186,33 @@ def _build_groups(A):
     return {k: np.asarray(v, dtype=int) for k, v in groups.items()}
 
 
-def _parse_float(raw, row_index, col):
+def _numeric_column(vals, name, dropped):
+    """Parse one numeric column of the kept rows.
+
+    A cell that does not parse, or parses to nan or an infinity, raises
+    RowError naming its data row and the column; dropped lists the indices
+    of the dropped data rows in ascending order, which maps a kept row back
+    to its data row.
+    """
     try:
-        return float(raw)
+        col = np.array([float(v) for v in vals])
+        if np.isfinite(col).all():
+            return col
     except ValueError:
-        raise RowError(row_index, f"cannot parse {raw!r} in column {col!r}") from None
+        pass
+    for k, raw in enumerate(vals):  # only on bad input: find the first bad cell
+        try:
+            if math.isfinite(float(raw)):
+                continue
+            problem = f"non-finite value {raw!r}"
+        except ValueError:
+            problem = f"cannot parse {raw!r}"
+        row = k
+        for d in dropped:  # each dropped row at or before it shifts it by one
+            if d > row:
+                break
+            row += 1
+        raise RowError(row, f"{problem} in column {name!r}")
 
 
 def load_dataset(path, schema, delimiter=None):
@@ -215,13 +242,14 @@ def load_dataset(path, schema, delimiter=None):
             raise SchemaError(f"column {spec.name!r} missing from header {header}")
         col_index[spec.name] = header.index(spec.name)
 
-    body = []
+    body, dropped = [], []
     for i, raw in enumerate(rows[1:]):
         cells = [c.strip() for c in raw]
         if len(cells) != len(header):
             raise RowError(i, f"expected {len(header)} cells, got {len(cells)}")
         if any(cells[col_index[s.name]] in ("", "?") for s in schema.columns):
-            continue  # row-drop is the only missing-value handling
+            dropped.append(i)  # row-drop is the only missing-value handling
+            continue
         body.append(cells)
     if not body:
         raise ValueError(f"no usable data rows in {path}")
@@ -238,7 +266,7 @@ def load_dataset(path, schema, delimiter=None):
         if enc == "auto":
             enc = "numeric" if _all_numeric(vals) else "categorical"
         if enc == "numeric":
-            col = np.array([_parse_float(v, i, spec.name) for i, v in enumerate(vals)])
+            col = _numeric_column(vals, spec.name, dropped)
             feature_blocks.append(_standardize(col)[:, None])
             feature_names.append(spec.name)
         elif enc == "categorical":
@@ -254,7 +282,7 @@ def load_dataset(path, schema, delimiter=None):
     for spec in schema.sensitive_columns:
         vals = column(spec.name)
         if spec.encoding == "median":
-            col = np.array([_parse_float(v, i, spec.name) for i, v in enumerate(vals)])
+            col = _numeric_column(vals, spec.name, dropped)
             med = float(np.median(col))
             codes = (col >= med).astype(int)
             levels = [f"<{med:g}", f">={med:g}"]

@@ -3,11 +3,12 @@ batches and the corresponding model parameter update."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cot import DivergenceError, _fit_loop
-from .model import LogisticModel, score_batch
+from .model import LogisticModel
 
 DOT_EPS_THETA = 5e-3  # default parameter step when OtConfig.eps_theta is None
 
@@ -27,6 +28,25 @@ class Coupling:
     n_cols: int
 
 
+@lru_cache(maxsize=8)
+def _rank_grid(n, m):
+    """Sorted ranks and integer mass units of the monotone coupling of n
+    atoms with m atoms, each of total mass n*m units.
+
+    x atom i owns the units [i*m, (i+1)*m) and y atom j the units
+    [j*n, (j+1)*n); the coupling's entries are the pieces of [0, n*m] cut
+    at both atoms' breakpoints. Depends only on (n, m), which a fit keeps
+    fixed, so it is cached; the arrays are read-only because every caller
+    shares them.
+    """
+    ends = np.union1d(np.arange(1, n + 1) * m, np.arange(1, m + 1) * n)
+    starts = np.concatenate(([0], ends[:-1]))
+    grid = (starts // m, starts // n, ends - starts)
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
 def optimal_coupling_1d(xs, ys):
     """Optimal coupling for cost |x - y| by sorted monotone mass splitting.
 
@@ -39,26 +59,10 @@ def optimal_coupling_1d(xs, ys):
     if xs.size == 0 or ys.size == 0:
         raise ValueError("batches must be non-empty")
     n, m = xs.size, ys.size
-    xi = np.argsort(xs, kind="stable")
-    yj = np.argsort(ys, kind="stable")
-    rows, cols, units = [], [], []
-    i = j = 0
-    rem_x, rem_y = m, n  # units left on the current x / y atom (out of n*m total)
-    while i < n and j < m:
-        take = min(rem_x, rem_y)
-        rows.append(xi[i])
-        cols.append(yj[j])
-        units.append(take)
-        rem_x -= take
-        rem_y -= take
-        if rem_x == 0:
-            i += 1
-            rem_x = m
-        if rem_y == 0:
-            j += 1
-            rem_y = n
-    return Coupling(np.array(rows), np.array(cols),
-                    np.array(units, dtype=float) / (n * m), n, m)
+    x_rank, y_rank, units = _rank_grid(n, m)
+    return Coupling(np.argsort(xs, kind="stable")[x_rank],
+                    np.argsort(ys, kind="stable")[y_rank],
+                    units / (n * m), n, m)
 
 
 def coupling_cost(c, xs, ys):
@@ -68,19 +72,27 @@ def coupling_cost(c, xs, ys):
     return float(np.sum(c.mass * np.abs(xs[c.rows] - ys[c.cols])))
 
 
-def dot_theta_update(model, couplings, batches, target_scores, eps_theta):
-    """One descent step using only the sparse coupling entries per group."""
+def dot_theta_update(model, couplings, batches, scores, target_scores,
+                     eps_theta):
+    """One descent step using only the sparse coupling entries per group.
+
+    scores[key] are the model's scores of the design rows batches[key], as
+    the fit loop computed them; couplings[key] couples them with the
+    target batch.
+    """
     sbar = np.asarray(target_scores, dtype=float).ravel()
     grad = np.zeros_like(model.theta)
     for key, Z in batches.items():
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if Z.shape[1] != model.theta.shape[0]:
             raise ValueError("design width does not match model dimension")
+        s = np.asarray(scores[key], dtype=float).ravel()
+        if s.size != Z.shape[0]:
+            raise ValueError(f"group {key}: {s.size} scores for "
+                             f"{Z.shape[0]} design rows")
         c = couplings[key]
-        s = score_batch(model, Z)
         sign = np.sign(s[c.rows] - sbar[c.cols])  # sign(0) = 0
-        w = np.zeros(s.size)
-        np.add.at(w, c.rows, c.mass * sign)
+        w = np.bincount(c.rows, c.mass * sign, minlength=s.size)
         grad += Z.T @ (w * s * (1.0 - s))
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite parameter gradient; reduce eps_theta")
@@ -98,7 +110,8 @@ def dot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
 
     def step(model, sbar, batches, scores):
         couplings = {key: optimal_coupling_1d(s, sbar) for key, s in scores.items()}
-        return dot_theta_update(model, couplings, batches, sbar, eps_theta)
+        return dot_theta_update(model, couplings, batches, scores, sbar,
+                                eps_theta)
 
     return _fit_loop(model, data, target, cfg, trace_every, include_sensitive,
                      step, {})

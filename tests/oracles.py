@@ -19,3 +19,37 @@ def survival_gap_integral(a, b):
     surv_a = survival(a, mids)
     surv_b = survival(b, mids)
     return float(np.sum(widths * np.abs(surv_a - surv_b)))
+
+
+def loop_coupling_1d(xs, ys):
+    """Monotone coupling of two uniform empirical batches, one merge step at
+    a time: returns (rows, cols, mass) in merge order.
+
+    An independent route to the library's rank-grid kernel: both sweep the
+    sorted batches (stable sorts) and split mass in integer units of
+    1/(n*m), but this one takes, at each step, the smaller of the units left
+    on the current x atom and on the current y atom.
+    """
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    n, m = xs.size, ys.size
+    xi = np.argsort(xs, kind="stable")
+    yj = np.argsort(ys, kind="stable")
+    rows, cols, units = [], [], []
+    i = j = 0
+    rem_x, rem_y = m, n  # units left on the current x / y atom
+    while i < n and j < m:
+        take = min(rem_x, rem_y)
+        rows.append(xi[i])
+        cols.append(yj[j])
+        units.append(take)
+        rem_x -= take
+        rem_y -= take
+        if rem_x == 0:
+            i += 1
+            rem_x = m
+        if rem_y == 0:
+            j += 1
+            rem_y = n
+    return (np.array(rows), np.array(cols),
+            np.array(units, dtype=float) / (n * m))

@@ -69,6 +69,30 @@ def test_load_raises_on_ragged_row(tmp_path):
         load_dataset(_write(tmp_path, CSV + "1.0,red,a\n"), SPEC)
 
 
+DROPPED_THEN_BAD = "a,x,y\nm,1.0,0\nf,?,1\nm,2.0,1\nf,{bad},0\n"
+
+
+def test_load_names_the_data_row_after_a_dropped_row(tmp_path):
+    # Data row 1 is dropped for its '?', so the bad cell is data row 3,
+    # the row the cell-count check would name.
+    text = DROPPED_THEN_BAD.format(bad="oops")
+    spec = {"a": "sensitive", "x": "feature:numeric", "y": "label"}
+    with pytest.raises(RowError, match=r"^row 3: cannot parse 'oops' in column 'x'"):
+        load_dataset(_write(tmp_path, text), spec)
+    with pytest.raises(RowError, match=r"^row 3: expected 3 cells"):
+        load_dataset(_write(tmp_path, DROPPED_THEN_BAD.format(bad="1,2")), spec)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+@pytest.mark.parametrize("spec", [
+    {"a": "sensitive", "x": "feature", "y": "label"},
+    {"a": "feature", "x": "sensitive:median", "y": "label"}])
+def test_load_rejects_non_finite_numbers_by_row_and_column(tmp_path, bad, spec):
+    text = DROPPED_THEN_BAD.format(bad=bad)
+    with pytest.raises(RowError, match=rf"^row 3: non-finite value '{bad}' in column 'x'$"):
+        load_dataset(_write(tmp_path, text), spec)
+
+
 def test_load_missing_column_raises(tmp_path):
     with pytest.raises(SchemaError):
         load_dataset(_write(tmp_path, CSV),

@@ -15,6 +15,8 @@ from otfair.dot import (coupling_cost, dot_run, dot_theta_update,
 from otfair.metrics import EmpiricalDistribution
 from otfair.model import LogisticModel, score_batch
 
+from oracles import loop_coupling_1d
+
 unit_batch = st.lists(st.floats(min_value=0.0, max_value=1.0,
                                 allow_nan=False), min_size=1, max_size=8)
 
@@ -82,6 +84,43 @@ def test_coupling_identity_is_diagonal():
     assert coupling_cost(c, xs, xs) == pytest.approx(0.0, abs=1e-15)
 
 
+def _assert_matches_loop(xs, ys):
+    c = optimal_coupling_1d(xs, ys)
+    for got, want in zip((c.rows, c.cols, c.mass), loop_coupling_1d(xs, ys)):
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+
+
+quarter_batch = st.lists(st.integers(0, 4).map(lambda k: k / 4), min_size=1,
+                         max_size=256)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(unit_batch, quarter_batch), st.one_of(unit_batch, quarter_batch))
+def test_coupling_matches_the_loop_oracle(xs, ys):
+    _assert_matches_loop(xs, ys)
+
+
+def test_coupling_matches_the_loop_oracle_on_seeded_batches(rng):
+    # Sizes 1-256, n != m in most cases, every other case tie-heavy
+    # (values on a grid of 1/4).
+    for k in range(200):
+        n, m = rng.integers(1, 257, 2)
+        if k % 2:
+            xs, ys = rng.integers(0, 5, n) / 4, rng.integers(0, 5, m) / 4
+        else:
+            xs, ys = rng.random(n), rng.random(m)
+        _assert_matches_loop(xs, ys)
+
+
+def test_couplings_of_one_shape_share_no_writable_array(rng):
+    xs, ys = rng.random(7), rng.random(5)
+    first = optimal_coupling_1d(xs, ys)
+    for a in (first.rows, first.cols, first.mass):
+        a[:] = 0
+    _assert_matches_loop(xs, ys)
+
+
 def test_coupling_rejects_empty():
     with pytest.raises(ValueError):
         optimal_coupling_1d(np.array([]), np.array([0.5]))
@@ -104,7 +143,8 @@ def test_dot_theta_update_matches_dense_loop(rng):
     s = score_batch(model, Z)
     c = optimal_coupling_1d(s, sbar)
     expect = _naive_dot_gradient(model, c, Z, sbar)
-    new = dot_theta_update(model, {("g",): c}, {("g",): Z}, sbar, 0.01)
+    new = dot_theta_update(model, {("g",): c}, {("g",): Z}, {("g",): s},
+                           sbar, 0.01)
     assert np.allclose(new.theta, model.theta - 0.01 * expect, atol=1e-12)
 
 
@@ -113,7 +153,15 @@ def test_dot_theta_update_width_mismatch():
     c = optimal_coupling_1d(np.array([0.5]), np.array([0.5]))
     with pytest.raises(ValueError):
         dot_theta_update(model, {("g",): c}, {("g",): np.zeros((1, 5))},
-                         np.array([0.5]), 0.01)
+                         {("g",): np.array([0.5])}, np.array([0.5]), 0.01)
+
+
+def test_dot_theta_update_names_the_group_whose_scores_do_not_fit():
+    model = LogisticModel(np.zeros(3))
+    c = optimal_coupling_1d(np.array([0.5, 0.5]), np.array([0.5]))
+    with pytest.raises(ValueError, match=r"\('g',\).*3 scores for 2 design rows"):
+        dot_theta_update(model, {("g",): c}, {("g",): np.zeros((2, 3))},
+                         {("g",): np.full(3, 0.5)}, np.array([0.5]), 0.01)
 
 
 def _tiny_dataset(seed=0, n=80):

@@ -5,7 +5,10 @@ bodies, with the removed resume and dual-reset options fixed at the only
 values any caller used. The COT reference carries its own copy of the
 earlier per-update arithmetic (three feature passes per group: ascent,
 objective, parameter gradient), so it does not share code with the fused
-step it checks. The shared loop must reproduce them bit for bit.
+step it checks. The DOT reference likewise couples with the merge loop of
+tests/oracles.py, accumulates the gradient weights with np.add.at and
+re-scores each batch inside the gradient. The shared loop must reproduce
+them bit for bit.
 """
 import numpy as np
 import pytest
@@ -15,12 +18,14 @@ from otfair.cot import (COT_EPS_THETA, DivergenceError, DualPair, OtConfig,
                         Regularizer, _iter_phases, alpha, conjugate, cot_run,
                         estimate_reg_w1)
 from otfair.data import Dataset
-from otfair.dot import DOT_EPS_THETA, dot_run, dot_theta_update, optimal_coupling_1d
+from otfair.dot import DOT_EPS_THETA, dot_run
 from otfair.metrics import (EmpiricalDistribution, err_at_threshold, sdd, spdd,
                             wasserstein1_1d)
 from otfair.model import LogisticModel, score_batch
 from otfair.rff import (DualPotential, eval_features, grad_potential_input,
                         make_rff)
+
+from oracles import loop_coupling_1d
 
 
 def ref_pot_sum_and_cost(pair, xs, ys, pair_mode):
@@ -159,6 +164,21 @@ def ref_cot_run(model, data, target, cfg, trace_every, include_sensitive=True):
     return model, trace, pairs
 
 
+def ref_dot_theta_update(model, couplings, batches, target_scores, eps_theta):
+    sbar = np.asarray(target_scores, dtype=float).ravel()
+    grad = np.zeros_like(model.theta)
+    for key, Z in batches.items():
+        rows, cols, mass = couplings[key]
+        s = score_batch(model, Z)
+        sign = np.sign(s[rows] - sbar[cols])
+        w = np.zeros(s.size)
+        np.add.at(w, rows, mass * sign)
+        grad += Z.T @ (w * s * (1.0 - s))
+    assert np.isfinite(grad).all()
+    return LogisticModel(model.theta - eps_theta * grad, model.names,
+                         model.converged)
+
+
 def ref_dot_run(model, data, target, cfg, trace_every, include_sensitive=True):
     eps_theta = DOT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
@@ -182,9 +202,10 @@ def ref_dot_run(model, data, target, cfg, trace_every, include_sensitive=True):
                 Zg = group_Z[key]
                 Z = Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
                 s = score_batch(model, Z)
-                couplings[key] = optimal_coupling_1d(s, sbar)
+                couplings[key] = loop_coupling_1d(s, sbar)
                 batches[key] = Z
-            model = dot_theta_update(model, couplings, batches, sbar, eps_theta)
+            model = ref_dot_theta_update(model, couplings, batches, sbar,
+                                         eps_theta)
             if np.abs(model.theta).max() > 1e12:
                 raise DivergenceError("model parameters diverged")
             if k_total % trace_every == 0:
@@ -304,12 +325,34 @@ def test_estimate_reg_w1_evaluates_features_once_per_batch(monkeypatch,
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_dot_run_matches_the_reference_loop(shape):
+    # Two batch shapes in one test, so the kernel's cached rank grid serves
+    # more than one (n, m) in the same process.
+    for batch_scores, batch_target in [(8, 6), (64, 37)]:
+        cfg = OtConfig(num_updates=22, batch_scores=batch_scores,
+                       batch_target=batch_target, seed=4)
+        model, trace = dot_run(MODEL, _data(shape), TARGET, cfg, trace_every=5)
+        ref_model, ref_trace = ref_dot_run(MODEL, _data(shape), TARGET, cfg,
+                                           trace_every=5)
+        assert np.array_equal(model.theta, ref_model.theta)
+        assert _rows(trace) == _rows(ref_trace)
+
+
+def test_dot_run_scores_each_batch_once(monkeypatch):
+    # One score per group per update, plus one per trace row.
+    real, calls = score_batch, []
+
+    def counted(model, Z):
+        calls.append(len(Z))
+        return real(model, Z)
+
+    for module in (cot, dot):
+        if hasattr(module, "score_batch"):
+            monkeypatch.setattr(module, "score_batch", counted)
     cfg = OtConfig(num_updates=22, batch_scores=8, batch_target=6, seed=4)
-    model, trace = dot_run(MODEL, _data(shape), TARGET, cfg, trace_every=5)
-    ref_model, ref_trace = ref_dot_run(MODEL, _data(shape), TARGET, cfg,
-                                       trace_every=5)
-    assert np.array_equal(model.theta, ref_model.theta)
-    assert _rows(trace) == _rows(ref_trace)
+    _, trace = dot_run(MODEL, _dataset(0), TARGET, cfg, trace_every=5)
+    assert len(trace) == 5
+    assert calls.count(8) == 3 * 22
+    assert len(calls) == 3 * 22 + len(trace)
 
 
 @pytest.mark.parametrize("shape", ["dataset", "phases"])
