@@ -3,16 +3,15 @@
 
 The default schedule shifts the female positive rate through
 .2, .3, .4, .1, .4, .2 with 5,000 updates per phase, evaluating on a
-held-out subset resampled to each phase's rate.
+held-out subset resampled to each phase's rate. The run directory gets the
+same artifacts as `otfair drift`.
 """
 import argparse
-import json
-import os
 
 from otfair import synthetic
 from otfair.cot import OtConfig
 from otfair.data import UnfairnessSchedule
-from otfair.harness import ExperimentConfig, run_drift
+from otfair.harness import ExperimentConfig, persist_run, run_drift
 
 
 def main():
@@ -36,11 +35,8 @@ def main():
         schedule_group=args.group, trace_every=args.trace_every,
         split_seed=args.seed, out=args.out,
     )
-    trace, stats, _, _ = run_drift(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    trace.to_csv(os.path.join(args.out, "trace.csv"))
-    with open(os.path.join(args.out, "phase_stats.json"), "w") as fh:
-        json.dump(stats, fh, indent=2)
+    trace, stats, model, pairs = run_drift(cfg)
+    persist_run(args.out, trace, stats, model, pairs, cfg)
     for s in stats:
         print(f"phase {s['phase']}: min Wass1 {s['min_wass1']:.3f} "
               f"at update {s['updates_to_min']}, recovery "

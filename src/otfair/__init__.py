@@ -14,8 +14,7 @@ from .dot import (DOT_EPS_THETA, Coupling, coupling_cost, dot_run,
 from .dpp import QuantileMap, dpp_transform, fit_dpp
 from .metrics import (EmpiricalDistribution, err_at_threshold, pooled, sdd,
                       spdd, w1_barycenter, wasserstein1_1d)
-from .model import (DegenerateLabelsError, LogisticModel, grad_score, score,
-                    score_batch, train_lr)
+from .model import DegenerateLabelsError, LogisticModel, score_batch, train_lr
 from .rff import (DualPotential, RffMap, eval_features, eval_potential,
                   grad_potential_input, make_rff)
 

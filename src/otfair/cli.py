@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -12,7 +11,7 @@ import numpy as np
 
 from .harness import (export_dual_snapshot, load_checkpoint, load_config,
                       persist_run, run_batch_sweep, run_drift, run_experiment,
-                      summary_table, _load_and_split)
+                      summary_table, write_rows, _load_and_split)
 from .model import train_lr
 
 
@@ -46,13 +45,6 @@ def _add_common(p):
     p.add_argument("--updates", type=int, default=None)
     p.add_argument("--trace-every", type=int, default=None)
     p.add_argument("--desk-scale", action="store_true")
-
-
-def _write_rows(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def main(argv=None):
@@ -91,7 +83,7 @@ def main(argv=None):
         rows = export_dual_snapshot(pairs, np.linspace(0.0, 1.0, args.grid))
         out = args.out or os.path.join(
             os.path.dirname(args.checkpoint) or ".", "duals.csv")
-        _write_rows(out, rows)
+        write_rows(out, rows)
         print(out)
         return 0
 
@@ -121,11 +113,15 @@ def main(argv=None):
         print(os.path.join(out, "model.json"))
         return 0
 
-    if args.command == "run":
-        trace, row, model, pairs = run_experiment(cfg, return_state=True)
-        out = persist_run(cfg.out_dir(cfg.method.lower()), trace, row,
-                          model, pairs, cfg)
-        print(json.dumps(row))
+    if args.command in ("run", "drift"):
+        if args.command == "run":
+            trace, summary, model, pairs = run_experiment(cfg, return_state=True)
+            name = cfg.method.lower()
+        else:
+            trace, summary, model, pairs = run_drift(cfg)
+            name = "drift"
+        out = persist_run(cfg.out_dir(name), trace, summary, model, pairs, cfg)
+        print(json.dumps(summary))
         print(out)
         return 0
 
@@ -134,20 +130,8 @@ def main(argv=None):
         rows = run_batch_sweep(cfg, sizes)
         out = cfg.out_dir("sweep")
         os.makedirs(out, exist_ok=True)
-        _write_rows(os.path.join(out, "sweep.csv"), rows)
+        write_rows(os.path.join(out, "sweep.csv"), rows)
         print(os.path.join(out, "sweep.csv"))
-        return 0
-
-    if args.command == "drift":
-        trace, stats, model, pairs = run_drift(cfg)
-        out = cfg.out_dir("drift")
-        os.makedirs(out, exist_ok=True)
-        trace.to_csv(os.path.join(out, "trace.csv"))
-        with open(os.path.join(out, "phase_stats.json"), "w") as fh:
-            json.dump(stats, fh, indent=2)
-        with open(os.path.join(out, "manifest.json"), "w") as fh:
-            json.dump(trace.manifest, fh, indent=2, default=str)
-        print(os.path.join(out, "trace.csv"))
         return 0
 
     return 1

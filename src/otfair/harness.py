@@ -56,21 +56,25 @@ class ExperimentConfig:
         return os.path.join(root, default_name)
 
 
+def write_rows(path, rows):
+    """Write dict rows as CSV. Columns are the union of the rows' keys in
+    first-seen order (later trace rows add per-group columns); a row lacking
+    a column leaves its cell empty."""
+    if not rows:
+        raise ValueError(f"no rows to write to {path}")
+    fields = list(rows[0])
+    for row in rows[1:]:
+        fields.extend(k for k in row if k not in fields)
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 @dataclass
 class RunTrace:
     rows: list
     manifest: dict
-
-    def to_csv(self, path):
-        if not self.rows:
-            raise ValueError("empty trace")
-        fields = list(self.rows[0])
-        for row in self.rows[1:]:  # later rows may add per-group columns
-            fields.extend(k for k in row if k not in fields)
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-            writer.writeheader()
-            writer.writerows(self.rows)
 
     @staticmethod
     def read_csv(path):
@@ -200,38 +204,42 @@ def _resolve_schedule(cfg, ds):
     return UnfairnessSchedule(phases)
 
 
+def _setup(cfg):
+    """(train, test, LR model, target): the start of every run and drift."""
+    train, test = _load_and_split(cfg)
+    model = train_lr(train, cfg.lr_l2, include_sensitive=cfg.include_sensitive)
+    target = build_target(train, model, cfg.target, cfg.include_sensitive)
+    return train, test, model, target
+
+
+def _fit_ot(cfg, model, data, target, ot):
+    """Fit COT or DOT on a dataset or drift phases: (model, rows, pairs).
+    DOT has no dual pairs, so its pairs are None."""
+    if cfg.method == "COT":
+        return cot_run(model, data, target, ot, cfg.trace_every,
+                       include_sensitive=cfg.include_sensitive)
+    final, rows = dot_run(model, data, target, ot, cfg.trace_every,
+                          include_sensitive=cfg.include_sensitive)
+    return final, rows, None
+
+
 def run_experiment(cfg, return_state=False):
     """Train LR, build the target, dispatch the method, evaluate on test.
 
     Returns (RunTrace, metrics row). With return_state=True also returns the
     final model and dual pairs (pairs only for COT).
     """
-    train, test = _load_and_split(cfg)
-    model = train_lr(train, cfg.lr_l2, include_sensitive=cfg.include_sensitive)
-    target = build_target(train, model, cfg.target, cfg.include_sensitive)
-    ot = cfg.ot
-    pairs = None
-    if cfg.method == "LR":
-        final = model
-        rows = []
-    elif cfg.method == "COT":
-        final, rows, pairs = cot_run(model, train, target, ot, cfg.trace_every,
-                                     include_sensitive=cfg.include_sensitive)
-    elif cfg.method == "DOT":
-        final, rows = dot_run(model, train, target, ot, cfg.trace_every,
-                              include_sensitive=cfg.include_sensitive)
-    else:  # DPP
+    train, test, model, target = _setup(cfg)
+    final, rows, pairs = model, [], None
+    if cfg.method in ("COT", "DOT"):
+        final, rows, pairs = _fit_ot(cfg, model, train, target, cfg.ot)
+    s_test = score_batch(final, test.design_matrix(
+        include_sensitive=cfg.include_sensitive))
+    if cfg.method == "DPP":
         _, train_dists = group_score_distributions(train, model,
                                                    cfg.include_sensitive)
         qmap = dpp_mod.fit_dpp({k: d.samples for k, d in train_dists.items()},
                                target)
-        final = model
-        rows = []
-
-    s_test = score_batch(final, test.design_matrix(
-        include_sensitive=cfg.include_sensitive))
-    if cfg.method == "DPP":
-        s_test = s_test.copy()
         for k, idx in test.groups.items():
             s_test[idx] = dpp_mod.dpp_transform(qmap, k, s_test[idx])
     metrics_row = evaluate(test, s_test, target)
@@ -242,14 +250,17 @@ def run_experiment(cfg, return_state=False):
     return trace, metrics_row
 
 
-def persist_run(out_dir, trace, metrics_row, model=None, pairs=None, cfg=None):
+def persist_run(out_dir, trace, summary, model=None, pairs=None, cfg=None):
+    """Write a run's artifacts to out_dir and return it. `summary` is a
+    metrics row (metrics.json) or run_drift's phase stats (phase_stats.json)."""
     os.makedirs(out_dir, exist_ok=True)
     if trace.rows:
-        trace.to_csv(os.path.join(out_dir, "trace.csv"))
+        write_rows(os.path.join(out_dir, "trace.csv"), trace.rows)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(trace.manifest, fh, indent=2, default=str)
-    with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
-        json.dump(metrics_row, fh, indent=2)
+    name = "phase_stats.json" if isinstance(summary, list) else "metrics.json"
+    with open(os.path.join(out_dir, name), "w") as fh:
+        json.dump(summary, fh, indent=2)
     if model is not None:
         model.save(os.path.join(out_dir, "model.json"))
     if pairs is not None and cfg is not None:
@@ -259,11 +270,11 @@ def persist_run(out_dir, trace, metrics_row, model=None, pairs=None, cfg=None):
     return out_dir
 
 
-def run_batch_sweep(cfg, batch_sizes, methods=("COT", "DOT")):
-    """Final Wass1/Err-.5 per (method, batch size)."""
+def run_batch_sweep(cfg, batch_sizes):
+    """Final Wass1/Err-.5 of COT and DOT per batch size."""
     rows = []
     for size in batch_sizes:
-        for method in methods:
+        for method in ("COT", "DOT"):
             c = replace(cfg, method=method,
                         ot=replace(cfg.ot, batch_scores=size, batch_target=size))
             _, metrics_row = run_experiment(c)
@@ -306,13 +317,15 @@ def run_drift(cfg):
     """Run the configured method over the unfairness schedule.
 
     Evaluates on each phase's held-out subset, resampled to the phase's rates.
+    Returns (RunTrace, per-phase stats, final model, dual pairs), with pairs
+    only for COT.
     """
     if cfg.schedule is None:
         raise ValueError("drift run requires a schedule")
-    train, test = _load_and_split(cfg)
+    if cfg.method not in ("COT", "DOT"):
+        raise ValueError("drift runs support COT and DOT only")
+    train, test, model, target = _setup(cfg)
     schedule = _resolve_schedule(cfg, train)
-    model = train_lr(train, cfg.lr_l2, include_sensitive=cfg.include_sensitive)
-    target = build_target(train, model, cfg.target, cfg.include_sensitive)
 
     train_seeds = np.random.SeedSequence(cfg.ot.seed).spawn(len(schedule.phases))
     phases = []
@@ -321,16 +334,9 @@ def run_drift(cfg):
         phases.append((resample_positive_rate(train, rates, child[0]), duration,
                        resample_positive_rate(test, rates, child[1])))
 
-    ot = replace(cfg.ot, num_updates=schedule.total_updates)
-    if cfg.method == "COT":
-        final, rows, pairs = cot_run(model, phases, target, ot, cfg.trace_every,
-                                     include_sensitive=cfg.include_sensitive)
-    elif cfg.method == "DOT":
-        final, rows = dot_run(model, phases, target, ot, cfg.trace_every,
-                              include_sensitive=cfg.include_sensitive)
-        pairs = None
-    else:
-        raise ValueError("drift runs support COT and DOT only")
+    final, rows, pairs = _fit_ot(
+        cfg, model, phases, target,
+        replace(cfg.ot, num_updates=schedule.total_updates))
     trace = RunTrace(rows, resolve_manifest(cfg))
     return trace, phase_stats(rows, schedule.phases), final, pairs
 

@@ -1,4 +1,4 @@
-"""Logistic score model: training, scoring, and the score gradient."""
+"""Logistic score model: training, scoring and persistence."""
 from __future__ import annotations
 
 import json
@@ -60,27 +60,6 @@ def score_batch(model, Z):
     if Z.shape[1] != model.theta.shape[0]:
         raise ValueError(f"input width {Z.shape[1]} != model dim {model.theta.shape[0]}")
     return sigmoid(Z @ model.theta)
-
-
-def score(model, a, x):
-    """Score for one individual; a is the encoded sensitive vector."""
-    u = np.concatenate([np.ravel(a).astype(float), np.ravel(x).astype(float)])
-    if u.shape[0] == model.theta.shape[0] - 1:
-        u = np.append(u, 1.0)  # intercept input
-    return float(score_batch(model, u)[0])
-
-
-def grad_score_batch(model, Z):
-    """Rows (a, x)^T s(1-s); the model-parameter gradient of each score."""
-    s = score_batch(model, Z)
-    return np.atleast_2d(Z) * (s * (1.0 - s))[:, None]
-
-
-def grad_score(model, a, x):
-    u = np.concatenate([np.ravel(a).astype(float), np.ravel(x).astype(float)])
-    if u.shape[0] == model.theta.shape[0] - 1:
-        u = np.append(u, 1.0)
-    return grad_score_batch(model, u)[0]
 
 
 def _nll(theta, Z, y, l2, penalize):

@@ -1,15 +1,21 @@
 """Experiment harness: configs, runs, persistence, CLI, checkpoints."""
 import json
 import os
+import runpy
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from otfair import cli, synthetic
+from otfair.cot import OtConfig
+from otfair.data import UnfairnessSchedule
 from otfair.harness import (ExperimentConfig, RunTrace, build_target,
                             load_checkpoint, load_config, persist_run,
                             phase_stats, run_batch_sweep, run_drift,
-                            run_experiment, save_checkpoint, summary_table)
+                            run_experiment, save_checkpoint, summary_table,
+                            write_rows)
 from otfair.metrics import EmpiricalDistribution
 
 
@@ -34,6 +40,16 @@ def config_path(small_csv, tmp_path_factory):
     return str(p)
 
 
+SCHEDULE_TEXT = "[schedule]\ngroup = gender=female\nrates = 0.3 0.1\nduration = 20\n"
+
+
+@pytest.fixture(scope="module")
+def drift_config_path(small_csv, tmp_path_factory):
+    p = tmp_path_factory.mktemp("cfg") / "drift.ini"
+    p.write_text(_config_text(small_csv) + SCHEDULE_TEXT)
+    return str(p)
+
+
 def test_load_config_parses_fields(config_path, small_csv):
     cfg = load_config(config_path)
     assert cfg.dataset == small_csv
@@ -44,12 +60,8 @@ def test_load_config_parses_fields(config_path, small_csv):
     assert cfg.schema["race"] == "sensitive"
 
 
-def test_load_config_schedule_section(small_csv, tmp_path):
-    p = tmp_path / "drift.ini"
-    p.write_text(_config_text(
-        small_csv) + "[schedule]\ngroup = gender=female\nrates = 0.3 0.1\n"
-                     "duration = 20\n")
-    cfg = load_config(str(p))
+def test_load_config_schedule_section(drift_config_path):
+    cfg = load_config(drift_config_path)
     assert cfg.schedule is not None
     assert cfg.schedule._raw_rates == [0.3, 0.1]
     assert cfg.schedule.total_updates == 40
@@ -107,9 +119,8 @@ def test_persist_run_writes_artifacts(config_path, tmp_path):
 def test_run_trace_csv_round_trip(tmp_path):
     rows = [{"update": 0, "wass1": 0.5, "err05": 0.2},
             {"update": 50, "wass1": 0.25, "err05": 0.21}]
-    trace = RunTrace(rows, {})
     path = tmp_path / "trace.csv"
-    trace.to_csv(str(path))
+    write_rows(str(path), rows)
     back = RunTrace.read_csv(str(path))
     assert back == rows
 
@@ -170,15 +181,76 @@ def test_run_drift_requires_schedule(config_path):
         run_drift(cfg)
 
 
-def test_run_drift_small(small_csv, tmp_path):
-    p = tmp_path / "drift.ini"
-    p.write_text(_config_text(
-        small_csv) + "[schedule]\ngroup = gender=female\nrates = 0.3 0.1\n"
-                     "duration = 20\n")
-    cfg = load_config(str(p))
+def test_run_drift_rejects_method_before_setup(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    cfg = ExperimentConfig(dataset=missing, schema=synthetic.SCHEMA,
+                           method="DPP", schedule=UnfairnessSchedule([({}, 10)]))
+    with pytest.raises(ValueError, match="COT and DOT only"):
+        run_drift(cfg)
+    p = tmp_path / "dpp.ini"  # the INI's method applies when --method is absent
+    p.write_text(_config_text(missing, "method = DPP") + SCHEDULE_TEXT)
+    with pytest.raises(ValueError, match="COT and DOT only"):
+        cli.main(["drift", "--config", str(p), "--out", str(tmp_path / "run")])
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_run_drift_small(drift_config_path):
+    cfg = load_config(drift_config_path)
     trace, stats, model, pairs = run_drift(cfg)
     assert trace.rows[-1]["update"] == 40
     assert len(stats) == 2
+
+
+SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "scripts", "run_drift.py")
+
+
+def _drift_by_cli(method, config_path, small_csv, out, monkeypatch):
+    assert cli.main(["drift", "--config", config_path, "--method", method,
+                     "--out", out]) == 0
+    return replace(load_config(config_path), method=method, out=out)
+
+
+def _drift_by_script(method, config_path, small_csv, out, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [
+        SCRIPT, "--dataset", small_csv, "--method", method, "--rates",
+        "0.3,0.1", "--duration", "20", "--trace-every", "10", "--out", out])
+    runpy.run_path(SCRIPT, run_name="__main__")
+    schedule = UnfairnessSchedule([({}, 20), ({}, 20)])
+    schedule._raw_rates = [0.3, 0.1]
+    return ExperimentConfig(
+        dataset=small_csv, schema=synthetic.SCHEMA, method=method,
+        ot=OtConfig(seed=0), schedule=schedule, schedule_group="gender=female",
+        trace_every=10, split_seed=0, out=out)
+
+
+@pytest.mark.parametrize("runner,method", [(_drift_by_cli, "COT"),
+                                           (_drift_by_cli, "DOT"),
+                                           (_drift_by_script, "COT")],
+                         ids=["cli-COT", "cli-DOT", "script-COT"])
+def test_drift_writes_the_run_artifacts(runner, method, drift_config_path,
+                                        small_csv, tmp_path, monkeypatch):
+    out = str(tmp_path / "drift")
+    cfg = runner(method, drift_config_path, small_csv, out, monkeypatch)
+    expected = {"trace.csv", "phase_stats.json", "manifest.json", "model.json"}
+    if method == "COT":
+        expected.add("checkpoint.json")
+    assert set(os.listdir(out)) == expected
+
+    ref = persist_run(str(tmp_path / "ref"), *run_drift(cfg), cfg)
+    for name in ("trace.csv", "phase_stats.json", "manifest.json", "model.json"):
+        with open(os.path.join(out, name), "rb") as a, \
+                open(os.path.join(ref, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+    if method == "COT":
+        checkpoint = os.path.join(out, "checkpoint.json")
+        assert cli.main(["export-duals", "--checkpoint", checkpoint,
+                         "--grid", "5"]) == 0
+        rows = RunTrace.read_csv(os.path.join(out, "duals.csv"))
+        assert len(rows) == 5
+        assert {f"lambda_scores_{k}" for k in ("0_0", "0_1", "1_0", "1_1")} \
+            <= set(rows[0])
 
 
 def test_cli_run_and_table(config_path, tmp_path, capsys):

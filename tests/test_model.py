@@ -1,12 +1,11 @@
-"""Logistic model: training oracle checks, score gradients, persistence."""
+"""Logistic model: training oracle checks, scoring, persistence."""
 import numpy as np
 import pytest
 from scipy.optimize import approx_fprime
 
 from otfair.data import Dataset
-from otfair.model import (DegenerateLabelsError, LogisticModel, grad_score,
-                          grad_score_batch, score, score_batch, sigmoid,
-                          train_lr, _nll, _nll_grad)
+from otfair.model import (DegenerateLabelsError, LogisticModel, score_batch,
+                          sigmoid, train_lr, _nll, _nll_grad)
 
 
 def _toy(n=400, seed=0):
@@ -29,11 +28,6 @@ def test_score_batch_matches_manual():
     Z = np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
     expect = 1.0 / (1.0 + np.exp(-(Z @ m.theta)))
     assert np.allclose(score_batch(m, Z), expect)
-
-
-def test_score_appends_intercept():
-    m = LogisticModel(np.array([1.0, 1.0, 3.0]), ["g=b", "x", "intercept"])
-    assert score(m, [0], [0.0]) == pytest.approx(sigmoid(np.array([3.0]))[0])
 
 
 def test_score_batch_rejects_wrong_width():
@@ -94,29 +88,6 @@ def test_train_single_class_raises():
                  ds.feature_names, ds.sensitive_names, ds.sensitive_levels)
     with pytest.raises(DegenerateLabelsError):
         train_lr(ds)
-
-
-def test_grad_score_matches_finite_differences():
-    m = LogisticModel(np.array([0.7, -0.4, 0.1]))
-    Z = np.random.default_rng(2).normal(size=(6, 3))
-    h = 1e-6
-    for i in range(Z.shape[0]):
-        fd = np.empty(3)
-        for j in range(3):
-            tp = m.theta.copy()
-            tp[j] += h
-            tm = m.theta.copy()
-            tm[j] -= h
-            fd[j] = (score_batch(LogisticModel(tp), Z[i])[0]
-                     - score_batch(LogisticModel(tm), Z[i])[0]) / (2 * h)
-        assert np.allclose(grad_score_batch(m, Z)[i], fd, rtol=1e-5, atol=1e-8)
-
-
-def test_grad_score_single_matches_batch():
-    m = LogisticModel(np.array([0.7, -0.4, 0.1]))
-    g1 = grad_score(m, [1.0], [0.5])
-    g2 = grad_score_batch(m, np.array([[1.0, 0.5, 1.0]]))[0]
-    assert np.allclose(g1, g2)
 
 
 def test_save_load_round_trip(tmp_path):
