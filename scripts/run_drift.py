@@ -35,8 +35,8 @@ def main():
         schedule_group=args.group, trace_every=args.trace_every,
         split_seed=args.seed, out=args.out,
     )
-    trace, stats, model, pairs = run_drift(cfg)
-    persist_run(args.out, trace, stats, model, pairs, cfg)
+    rows, stats, model, pairs = run_drift(cfg)
+    persist_run(args.out, cfg, rows, stats, model, pairs)
     for s in stats:
         print(f"phase {s['phase']}: min Wass1 {s['min_wass1']:.3f} "
               f"at update {s['updates_to_min']}, recovery "

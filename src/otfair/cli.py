@@ -1,4 +1,4 @@
-"""Command-line entry points for training, runs, sweeps, and exports."""
+"""Command-line entry points for runs, drift, sweeps, tables and exports."""
 from __future__ import annotations
 
 import argparse
@@ -11,8 +11,7 @@ import numpy as np
 
 from .harness import (export_dual_snapshot, load_checkpoint, load_config,
                       persist_run, run_batch_sweep, run_drift, run_experiment,
-                      summary_table, write_rows, _load_and_split)
-from .model import train_lr
+                      summary_table, write_rows)
 
 
 def _apply_overrides(cfg, args):
@@ -50,9 +49,6 @@ def _add_common(p):
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="otfair")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train-lr", help="train the logistic score model only")
-    _add_common(p)
 
     p = sub.add_parser("run", help="run one experiment (LR/COT/DOT/DPP)")
     _add_common(p)
@@ -103,24 +99,14 @@ def main(argv=None):
 
     cfg = _apply_overrides(load_config(args.config), args)
 
-    if args.command == "train-lr":
-        train, test = _load_and_split(cfg)
-        model = train_lr(train, cfg.lr_l2,
-                         include_sensitive=cfg.include_sensitive)
-        out = cfg.out_dir("lr")
-        os.makedirs(out, exist_ok=True)
-        model.save(os.path.join(out, "model.json"))
-        print(os.path.join(out, "model.json"))
-        return 0
-
     if args.command in ("run", "drift"):
         if args.command == "run":
-            trace, summary, model, pairs = run_experiment(cfg, return_state=True)
+            rows, summary, model, pairs = run_experiment(cfg, return_state=True)
             name = cfg.method.lower()
         else:
-            trace, summary, model, pairs = run_drift(cfg)
+            rows, summary, model, pairs = run_drift(cfg)
             name = "drift"
-        out = persist_run(cfg.out_dir(name), trace, summary, model, pairs, cfg)
+        out = persist_run(cfg.out_dir(name), cfg, rows, summary, model, pairs)
         print(json.dumps(summary))
         print(out)
         return 0

@@ -129,7 +129,7 @@ class Dataset:
     def positive_rate(self, key):
         return float(self.y[self.groups[key]].mean())
 
-    def design_matrix(self, indices=None, include_sensitive=True, intercept=True):
+    def design_matrix(self, indices=None, include_sensitive=True):
         """Model input rows [encoded sensitive, features, 1].
 
         Each sensitive column is one-hot encoded over its levels with the
@@ -143,18 +143,16 @@ class Dataset:
                 for lv in range(1, len(levels)):
                     blocks.append((codes == lv).astype(float)[:, None])
         blocks.append(self.X[idx])
-        if intercept:
-            blocks.append(np.ones((len(idx), 1)))
+        blocks.append(np.ones((len(idx), 1)))
         return np.hstack(blocks)
 
-    def design_names(self, include_sensitive=True, intercept=True):
+    def design_names(self, include_sensitive=True):
         names = []
         if include_sensitive:
             for name, levels in zip(self.sensitive_names, self.sensitive_levels):
                 names.extend(f"{name}={lv}" for lv in levels[1:])
         names.extend(self.feature_names)
-        if intercept:
-            names.append("intercept")
+        names.append("intercept")
         return names
 
 

@@ -46,6 +46,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if (self.target not in ("barycenter", "pooled")
+                and not self.target.startswith("group:")):
+            raise ValueError("target must be barycenter, pooled or "
+                             f"group:<col>=<value>, got {self.target!r}")
         if self.trace_every < 1:
             raise ValueError(f"trace_every must be >= 1, got {self.trace_every}")
 
@@ -71,21 +75,21 @@ def write_rows(path, rows):
         writer.writerows(rows)
 
 
-@dataclass
-class RunTrace:
-    rows: list
-    manifest: dict
+def read_rows(path):
+    """Read a CSV written by write_rows: `update` as int, other cells as
+    float, empty cells as nan."""
+    with open(path, newline="") as fh:
+        return [{k: int(float(v)) if k == "update" else float(v or "nan")
+                 for k, v in row.items()} for row in csv.DictReader(fh)]
 
-    @staticmethod
-    def read_csv(path):
-        def parse(key, val):
-            if key == "update":
-                return int(float(val))
-            return float(val) if val != "" else float("nan")
 
-        with open(path, newline="") as fh:
-            return [{k: parse(k, v) for k, v in row.items()}
-                    for row in csv.DictReader(fh)]
+def _flag(key, value):
+    """configparser's boolean words; anything else is an error naming key."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{key} must be one of 1/yes/true/on or "
+                         f"0/no/false/off, got {value!r}") from None
 
 
 def load_config(path):
@@ -94,45 +98,46 @@ def load_config(path):
     parser.optionxform = str  # schema column names are case-sensitive
     with open(path) as fh:
         parser.read_file(fh)
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    reg = Regularizer(
-        exp.get("reg", "entropy"),
-        float(exp.get("reg_strength", 0.05)),
-    )
+    exp = dict(parser["experiment"]) if parser.has_section("experiment") else {}
     ot = OtConfig(
-        reg=reg,
-        D=int(exp.get("rff_features", 100)),
-        sigma2=float(exp.get("kernel_variance", 0.1)),
-        eps_dual=float(exp.get("eps_dual", 0.02)),
-        eps_theta=float(exp["eps_theta"]) if "eps_theta" in exp else None,
-        num_updates=int(exp.get("updates", 100_000)),
-        batch_scores=int(exp.get("batch_scores", 64)),
-        batch_target=int(exp.get("batch_target", 64)),
-        antisymmetric=exp.get("antisymmetric", "true").lower() in ("1", "true", "yes"),
-        pair_mode=exp.get("pair_mode", "full"),
-        seed=int(exp.get("seed", 0)),
+        reg=Regularizer(exp.pop("reg", "entropy"),
+                        float(exp.pop("reg_strength", 0.05))),
+        D=int(exp.pop("rff_features", 100)),
+        sigma2=float(exp.pop("kernel_variance", 0.1)),
+        eps_dual=float(exp.pop("eps_dual", 0.02)),
+        eps_theta=float(exp.pop("eps_theta")) if "eps_theta" in exp else None,
+        num_updates=int(exp.pop("updates", 100_000)),
+        batch_scores=int(exp.pop("batch_scores", 64)),
+        batch_target=int(exp.pop("batch_target", 64)),
+        antisymmetric=_flag("antisymmetric", exp.pop("antisymmetric", "true")),
+        pair_mode=exp.pop("pair_mode", "full"),
+        seed=int(exp.pop("seed", 0)),
     )
     cfg = ExperimentConfig(
-        dataset=exp.get("dataset", ""),
+        dataset=exp.pop("dataset", ""),
         schema=dict(parser["schema"]) if parser.has_section("schema") else {},
-        delimiter=exp.get("delimiter") or None,
-        method=exp.get("method", "COT"),
+        delimiter=exp.pop("delimiter", "") or None,
+        method=exp.pop("method", "COT"),
         ot=ot,
-        target=exp.get("target", "barycenter"),
-        split_seed=int(exp.get("split_seed", 0)),
-        test_frac=float(exp.get("test_frac", 0.3)),
-        lr_l2=float(exp.get("lr_l2", 1.0)),
-        include_sensitive=exp.get("include_sensitive", "true").lower()
-        in ("1", "true", "yes"),
-        trace_every=int(exp.get("trace_every", 50)),
-        desk_scale=exp.get("desk_scale", "false").lower() in ("1", "true", "yes"),
-        out=exp.get("out", ""),
+        target=exp.pop("target", "barycenter"),
+        split_seed=int(exp.pop("split_seed", 0)),
+        test_frac=float(exp.pop("test_frac", 0.3)),
+        lr_l2=float(exp.pop("lr_l2", 1.0)),
+        include_sensitive=_flag("include_sensitive",
+                                exp.pop("include_sensitive", "true")),
+        trace_every=int(exp.pop("trace_every", 50)),
+        desk_scale=_flag("desk_scale", exp.pop("desk_scale", "false")),
+        out=exp.pop("out", ""),
     )
+    if exp:
+        raise ValueError(f"unknown key(s) in [experiment]: {', '.join(exp)}")
     if parser.has_section("schedule"):
-        sched = parser["schedule"]
-        cfg.schedule_group = sched.get("group", "")
-        rates = [float(r) for r in sched.get("rates", "").replace(",", " ").split()]
-        duration = int(sched.get("duration", 5000))
+        sched = dict(parser["schedule"])
+        cfg.schedule_group = sched.pop("group", "")
+        rates = [float(r) for r in sched.pop("rates", "").replace(",", " ").split()]
+        duration = int(sched.pop("duration", 5000))
+        if sched:
+            raise ValueError(f"unknown key(s) in [schedule]: {', '.join(sched)}")
         cfg.schedule = UnfairnessSchedule([({}, duration) for _ in rates])
         # Rates are resolved against realized groups at run time.
         cfg.schedule._raw_rates = rates
@@ -142,7 +147,6 @@ def load_config(path):
 def resolve_manifest(cfg):
     """Flatten the resolved configuration for reproducibility."""
     man = asdict(cfg)
-    man["ot"] = asdict(cfg.ot)
     man["schedule"] = (
         {"group": cfg.schedule_group,
          "rates": getattr(cfg.schedule, "_raw_rates", None),
@@ -205,8 +209,12 @@ def _resolve_schedule(cfg, ds):
 
 
 def _setup(cfg):
-    """(train, test, LR model, target): the start of every run and drift."""
+    """(train, test, LR model, target): the start of every run and drift.
+    Group selectors are checked on the split before training: fail fast."""
     train, test = _load_and_split(cfg)
+    if cfg.target.startswith("group:"):
+        _match_groups(train, cfg.target[len("group:"):])
+    _resolve_schedule(cfg, train)
     model = train_lr(train, cfg.lr_l2, include_sensitive=cfg.include_sensitive)
     target = build_target(train, model, cfg.target, cfg.include_sensitive)
     return train, test, model, target
@@ -223,13 +231,9 @@ def _fit_ot(cfg, model, data, target, ot):
     return final, rows, None
 
 
-def run_experiment(cfg, return_state=False):
-    """Train LR, build the target, dispatch the method, evaluate on test.
-
-    Returns (RunTrace, metrics row). With return_state=True also returns the
-    final model and dual pairs (pairs only for COT).
-    """
-    train, test, model, target = _setup(cfg)
+def _fit_and_evaluate(cfg, train, test, model, target):
+    """Dispatch cfg.method from a set-up and evaluate on test: (trace rows,
+    metrics row, final model, dual pairs), with pairs only for COT."""
     final, rows, pairs = model, [], None
     if cfg.method in ("COT", "DOT"):
         final, rows, pairs = _fit_ot(cfg, model, train, target, cfg.ot)
@@ -244,40 +248,48 @@ def run_experiment(cfg, return_state=False):
             s_test[idx] = dpp_mod.dpp_transform(qmap, k, s_test[idx])
     metrics_row = evaluate(test, s_test, target)
     metrics_row["method"] = cfg.method
-    trace = RunTrace(rows, resolve_manifest(cfg))
-    if return_state:
-        return trace, metrics_row, final, pairs
-    return trace, metrics_row
+    return rows, metrics_row, final, pairs
 
 
-def persist_run(out_dir, trace, summary, model=None, pairs=None, cfg=None):
+def run_experiment(cfg, return_state=False):
+    """Train LR, build the target, dispatch the method, evaluate on test.
+
+    Returns (trace rows, metrics row). With return_state=True also returns
+    the final model and dual pairs (pairs only for COT).
+    """
+    result = _fit_and_evaluate(cfg, *_setup(cfg))
+    return result if return_state else result[:2]
+
+
+def persist_run(out_dir, cfg, rows, summary, model=None, pairs=None):
     """Write a run's artifacts to out_dir and return it. `summary` is a
     metrics row (metrics.json) or run_drift's phase stats (phase_stats.json)."""
     os.makedirs(out_dir, exist_ok=True)
-    if trace.rows:
-        write_rows(os.path.join(out_dir, "trace.csv"), trace.rows)
+    if rows:
+        write_rows(os.path.join(out_dir, "trace.csv"), rows)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(trace.manifest, fh, indent=2, default=str)
+        json.dump(resolve_manifest(cfg), fh, indent=2, default=str)
     name = "phase_stats.json" if isinstance(summary, list) else "metrics.json"
     with open(os.path.join(out_dir, name), "w") as fh:
         json.dump(summary, fh, indent=2)
     if model is not None:
         model.save(os.path.join(out_dir, "model.json"))
-    if pairs is not None and cfg is not None:
+    if pairs is not None:
         save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
-                        model, pairs, cfg.ot,
-                        trace.rows[-1]["update"] if trace.rows else 0)
+                        model, pairs, cfg.ot, rows[-1]["update"] if rows else 0)
     return out_dir
 
 
 def run_batch_sweep(cfg, batch_sizes):
-    """Final Wass1/Err-.5 of COT and DOT per batch size."""
+    """Final Wass1/Err-.5 of COT and DOT per batch size, all fitted from one
+    set-up (load, split, LR model, target)."""
+    setup = _setup(cfg)
     rows = []
     for size in batch_sizes:
         for method in ("COT", "DOT"):
             c = replace(cfg, method=method,
                         ot=replace(cfg.ot, batch_scores=size, batch_target=size))
-            _, metrics_row = run_experiment(c)
+            _, metrics_row, _, _ = _fit_and_evaluate(c, *setup)
             rows.append({"method": method, "batch_size": size,
                          "wass1": metrics_row["wass1"],
                          "err05": metrics_row["err05"]})
@@ -317,8 +329,8 @@ def run_drift(cfg):
     """Run the configured method over the unfairness schedule.
 
     Evaluates on each phase's held-out subset, resampled to the phase's rates.
-    Returns (RunTrace, per-phase stats, final model, dual pairs), with pairs
-    only for COT.
+    Returns (trace rows, per-phase stats, final model, dual pairs), with
+    pairs only for COT.
     """
     if cfg.schedule is None:
         raise ValueError("drift run requires a schedule")
@@ -337,8 +349,7 @@ def run_drift(cfg):
     final, rows, pairs = _fit_ot(
         cfg, model, phases, target,
         replace(cfg.ot, num_updates=schedule.total_updates))
-    trace = RunTrace(rows, resolve_manifest(cfg))
-    return trace, phase_stats(rows, schedule.phases), final, pairs
+    return rows, phase_stats(rows, schedule.phases), final, pairs
 
 
 def export_dual_snapshot(pairs, grid):
@@ -398,11 +409,14 @@ def load_checkpoint(path):
 
 
 def summary_table(run_dirs):
-    """Aggregate metrics.json rows into Table-style summary rows."""
+    """Aggregate metrics.json rows into Table-style summary rows. Directories
+    without one (drift and sweep runs) are skipped."""
     rows = []
     for d in run_dirs:
-        with open(os.path.join(d, "metrics.json")) as fh:
-            row = json.load(fh)
-        row["run"] = d
-        rows.append(row)
+        path = os.path.join(d, "metrics.json")
+        if os.path.isfile(path):
+            with open(path) as fh:
+                rows.append({**json.load(fh), "run": d})
+    if not rows:
+        raise ValueError(f"no metrics.json in any of {list(run_dirs)}")
     return rows

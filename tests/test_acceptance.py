@@ -244,10 +244,10 @@ def test_criterion_7_drift_readaptation_is_faster(census_path):
                 dataset=census_path, schema=synthetic.SCHEMA,
                 method=method, ot=OtConfig(seed=seed), schedule=schedule,
                 schedule_group="gender=female", trace_every=50)
-            trace, _, _, _ = run_drift(cfg)
+            rows, _, _, _ = run_drift(cfg)
             for rate, (first, second) in repeats.items():
-                diffs[rate].append(_updates_to_near_min(trace.rows, second)
-                                   - _updates_to_near_min(trace.rows, first))
+                diffs[rate].append(_updates_to_near_min(rows, second)
+                                   - _updates_to_near_min(rows, first))
         medians = {rate: float(np.median(d)) for rate, d in diffs.items()}
         # The cold-start repeat must re-adapt faster on its second visit;
         # the rate repeated mid-schedule is reported but not gated (its two
@@ -296,8 +296,8 @@ def test_criterion_9_reruns_are_byte_identical(census_path, tmp_path):
     payloads = []
     for name in ("first", "second"):
         cfg = load_config(str(cfg_path))
-        trace, row, model, pairs = run_experiment(cfg, return_state=True)
-        out = persist_run(str(tmp_path / name), trace, row, model, pairs, cfg)
+        rows, row, model, pairs = run_experiment(cfg, return_state=True)
+        out = persist_run(str(tmp_path / name), cfg, rows, row, model, pairs)
         with open(f"{out}/trace.csv", "rb") as fh:
             payloads.append(fh.read())
     assert payloads[0] == payloads[1]

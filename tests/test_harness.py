@@ -8,14 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otfair import cli, synthetic
+from otfair import cli, harness, synthetic
 from otfair.cot import OtConfig
 from otfair.data import UnfairnessSchedule
-from otfair.harness import (ExperimentConfig, RunTrace, build_target,
-                            load_checkpoint, load_config, persist_run,
-                            phase_stats, run_batch_sweep, run_drift,
-                            run_experiment, save_checkpoint, summary_table,
-                            write_rows)
+from otfair.harness import (ExperimentConfig, build_target, load_checkpoint,
+                            load_config, persist_run, phase_stats, read_rows,
+                            run_batch_sweep, run_drift, run_experiment,
+                            save_checkpoint, summary_table, write_rows)
 from otfair.metrics import EmpiricalDistribution
 
 
@@ -76,12 +75,12 @@ def test_experiment_config_rejects_unknown_method():
 def test_run_experiment_all_methods(config_path, method):
     cfg = load_config(config_path)
     cfg.method = method
-    trace, row = run_experiment(cfg)
+    rows, row = run_experiment(cfg)
     assert set(row) >= {"err05", "wass1", "sdd", "spdd", "method"}
     assert 0.0 <= row["err05"] <= 1.0
     assert row["wass1"] >= 0.0
     if method in ("COT", "DOT"):
-        assert trace.rows[-1]["update"] == 40
+        assert rows[-1]["update"] == 40
 
 
 def test_dpp_drives_wass1_near_zero(config_path):
@@ -97,8 +96,8 @@ def test_run_traces_identical_across_invocations(config_path, tmp_path):
     cfg = load_config(config_path)
     payloads = []
     for name in ("a", "b"):
-        trace, row, model, pairs = run_experiment(cfg, return_state=True)
-        out = persist_run(str(tmp_path / name), trace, row, model, pairs, cfg)
+        rows, row, model, pairs = run_experiment(cfg, return_state=True)
+        out = persist_run(str(tmp_path / name), cfg, rows, row, model, pairs)
         with open(os.path.join(out, "trace.csv"), "rb") as fh:
             payloads.append(fh.read())
     assert payloads[0] == payloads[1]
@@ -106,8 +105,8 @@ def test_run_traces_identical_across_invocations(config_path, tmp_path):
 
 def test_persist_run_writes_artifacts(config_path, tmp_path):
     cfg = load_config(config_path)
-    trace, row, model, pairs = run_experiment(cfg, return_state=True)
-    out = persist_run(str(tmp_path / "run"), trace, row, model, pairs, cfg)
+    rows, row, model, pairs = run_experiment(cfg, return_state=True)
+    out = persist_run(str(tmp_path / "run"), cfg, rows, row, model, pairs)
     for name in ("trace.csv", "manifest.json", "metrics.json", "model.json",
                  "checkpoint.json"):
         assert os.path.exists(os.path.join(out, name))
@@ -121,7 +120,7 @@ def test_run_trace_csv_round_trip(tmp_path):
             {"update": 50, "wass1": 0.25, "err05": 0.21}]
     path = tmp_path / "trace.csv"
     write_rows(str(path), rows)
-    back = RunTrace.read_csv(str(path))
+    back = read_rows(str(path))
     assert back == rows
 
 
@@ -196,8 +195,8 @@ def test_run_drift_rejects_method_before_setup(tmp_path):
 
 def test_run_drift_small(drift_config_path):
     cfg = load_config(drift_config_path)
-    trace, stats, model, pairs = run_drift(cfg)
-    assert trace.rows[-1]["update"] == 40
+    rows, stats, model, pairs = run_drift(cfg)
+    assert rows[-1]["update"] == 40
     assert len(stats) == 2
 
 
@@ -237,7 +236,7 @@ def test_drift_writes_the_run_artifacts(runner, method, drift_config_path,
         expected.add("checkpoint.json")
     assert set(os.listdir(out)) == expected
 
-    ref = persist_run(str(tmp_path / "ref"), *run_drift(cfg), cfg)
+    ref = persist_run(str(tmp_path / "ref"), cfg, *run_drift(cfg))
     for name in ("trace.csv", "phase_stats.json", "manifest.json", "model.json"):
         with open(os.path.join(out, name), "rb") as a, \
                 open(os.path.join(ref, name), "rb") as b:
@@ -247,7 +246,7 @@ def test_drift_writes_the_run_artifacts(runner, method, drift_config_path,
         checkpoint = os.path.join(out, "checkpoint.json")
         assert cli.main(["export-duals", "--checkpoint", checkpoint,
                          "--grid", "5"]) == 0
-        rows = RunTrace.read_csv(os.path.join(out, "duals.csv"))
+        rows = read_rows(os.path.join(out, "duals.csv"))
         assert len(rows) == 5
         assert {f"lambda_scores_{k}" for k in ("0_0", "0_1", "1_0", "1_1")} \
             <= set(rows[0])
@@ -269,7 +268,7 @@ def test_cli_overrides_apply(config_path, tmp_path):
     rc = cli.main(["run", "--config", config_path, "--method", "COT",
                    "--updates", "20", "--trace-every", "10", "--out", out])
     assert rc == 0
-    rows = RunTrace.read_csv(os.path.join(out, "trace.csv"))
+    rows = read_rows(os.path.join(out, "trace.csv"))
     assert rows[-1]["update"] == 20
 
 
@@ -288,8 +287,8 @@ def test_cli_export_duals(config_path, tmp_path):
 def test_summary_table_reads_metrics(config_path, tmp_path):
     cfg = load_config(config_path)
     cfg.method = "LR"
-    trace, row = run_experiment(cfg)
-    out = persist_run(str(tmp_path / "lr"), trace, row)
+    rows, row = run_experiment(cfg)
+    out = persist_run(str(tmp_path / "lr"), cfg, rows, row)
     rows = summary_table([out])
     assert rows[0]["method"] == "LR"
 
@@ -307,3 +306,115 @@ def test_experiment_config_rejects_trace_every_below_one(small_csv, tmp_path,
         cli.main(["run", "--config", config_path, "--method", "COT",
                   "--trace-every", "0", "--out", str(tmp_path / "run")])
     assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("section,text", [
+    ("experiment", "udpates = 20"),
+    ("schedule", "rate = 0.3"),
+])
+def test_load_config_rejects_unknown_keys(small_csv, tmp_path, section, text):
+    p = tmp_path / "typo.ini"
+    if section == "experiment":
+        p.write_text(_config_text(small_csv, text))
+    else:
+        p.write_text(_config_text(small_csv) + SCHEDULE_TEXT + text + "\n")
+    key = text.split()[0]
+    with pytest.raises(ValueError, match=rf"\[{section}\]: {key}"):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("word,value", [("on", True), ("Yes", True),
+                                        ("1", True), ("off", False),
+                                        ("no", False), ("0", False)])
+def test_load_config_reads_boolean_words(small_csv, tmp_path, word, value):
+    p = tmp_path / "flags.ini"
+    p.write_text(_config_text(small_csv, f"antisymmetric = {word}\n"
+                              f"include_sensitive = {word}\n"
+                              f"desk_scale = {word}"))
+    cfg = load_config(str(p))
+    assert (cfg.ot.antisymmetric, cfg.include_sensitive, cfg.desk_scale) \
+        == (value, value, value)
+
+
+@pytest.mark.parametrize("key", ["antisymmetric", "include_sensitive",
+                                 "desk_scale"])
+def test_load_config_rejects_non_boolean_words(small_csv, tmp_path, key):
+    p = tmp_path / "flags.ini"
+    p.write_text(_config_text(small_csv, f"{key} = maybe"))
+    with pytest.raises(ValueError, match=rf"{key} must be .*'maybe'"):
+        load_config(str(p))
+
+
+def test_experiment_config_rejects_unknown_target(small_csv, tmp_path):
+    with pytest.raises(ValueError, match="target"):
+        ExperimentConfig(target="median")
+    p = tmp_path / "median.ini"
+    p.write_text(_config_text(small_csv, "target = median"))
+    with pytest.raises(ValueError, match="'median'"):
+        load_config(str(p))
+
+
+@pytest.fixture
+def spy_on(monkeypatch):
+    """spy_on(name) wraps harness.<name>; the returned list gets each call."""
+    def wrap(name):
+        calls, real = [], getattr(harness, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, spy)
+        return calls
+    return wrap
+
+
+@pytest.mark.parametrize("bad,match", [
+    ("target", "unknown level 'unknown'"),
+    ("schedule", "unknown sensitive column 'sex'"),
+])
+def test_bad_selectors_fail_before_training(drift_config_path, spy_on, bad,
+                                            match):
+    trained = spy_on("train_lr")
+    cfg = load_config(drift_config_path)
+    if bad == "target":
+        cfg = replace(cfg, target="group:gender=unknown")
+        run = run_experiment
+    else:
+        cfg = replace(cfg, schedule_group="sex=female")
+        run = run_drift
+    with pytest.raises(ValueError, match=match):
+        run(cfg)
+    assert trained == []
+
+
+def test_run_batch_sweep_sets_up_once(config_path, spy_on):
+    loads, trained = spy_on("load_dataset"), spy_on("train_lr")
+    rows = run_batch_sweep(load_config(config_path), [4, 8])
+    assert len(rows) == 4
+    assert (len(loads), len(trained)) == (1, 1)
+
+
+def test_summary_table_skips_dirs_without_metrics(config_path,
+                                                  drift_config_path, tmp_path,
+                                                  capsys):
+    runs = tmp_path / "runs"
+    for args in (["run", "--config", config_path, "--method", "LR"],
+                 ["drift", "--config", drift_config_path],
+                 ["sweep-batch", "--config", config_path, "--sizes", "4"]):
+        name = args[0]
+        assert cli.main(args + ["--out", str(runs / name)]) == 0
+    dirs = sorted(str(p) for p in runs.iterdir())
+    assert [r["run"] for r in summary_table(dirs)] == [str(runs / "run")]
+    capsys.readouterr()
+    assert cli.main(["table", *dirs]) == 0
+    assert str(runs / "run") in capsys.readouterr().out
+    with pytest.raises(ValueError, match="no metrics.json"):
+        summary_table([str(runs / "drift"), str(runs / "sweep-batch")])
+
+
+def test_cli_has_no_train_lr_command(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train-lr", "--config", config_path])
+    assert exc.value.code == 2
+    assert "invalid choice: 'train-lr'" in capsys.readouterr().err
