@@ -8,9 +8,8 @@ Example:
 import argparse
 from dataclasses import replace
 
-from otfair import synthetic
+from otfair import harness, synthetic
 from otfair.cot import OtConfig
-from otfair.harness import ExperimentConfig, run_experiment
 
 
 def main():
@@ -22,7 +21,7 @@ def main():
     ap.add_argument("--trace-every", type=int, default=200)
     args = ap.parse_args()
 
-    cfg = ExperimentConfig(
+    cfg = harness.ExperimentConfig(
         dataset=args.dataset, schema=synthetic.SCHEMA,
         ot=OtConfig(num_updates=args.updates, batch_scores=args.batch_size,
                     batch_target=args.batch_size, seed=args.seed),
@@ -30,8 +29,10 @@ def main():
     )
     header = f"{'method':6s} {'Err-.5':>8s} {'Wass1':>8s} {'SDD':>8s} {'SPDD':>8s}"
     print(header)
+    setup = harness._setup(cfg)  # one load, split, LR model and target
     for method in ("LR", "COT", "DOT", "DPP"):
-        _, row = run_experiment(replace(cfg, method=method))
+        _, row, _, _ = harness._fit_and_evaluate(replace(cfg, method=method),
+                                                 *setup)
         print(f"{method:6s} {row['err05']:8.3f} {row['wass1']:8.3f} "
               f"{row['sdd']:8.3f} {row['spdd']:8.3f}")
 

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -178,26 +179,31 @@ class UnfairnessSchedule:
 
 
 def _build_groups(A):
-    groups = {}
-    for i, row in enumerate(map(tuple, A.tolist())):
-        groups.setdefault(row, []).append(i)
-    return {k: np.asarray(v, dtype=int) for k, v in groups.items()}
+    """Row indices per distinct row of A, keyed in first-row order: sums
+    over groups (evaluate, sdd) run in dict order."""
+    keys, first, inverse = np.unique(A, axis=0, return_index=True,
+                                     return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
+    members = np.split(np.argsort(inverse, kind="stable"),
+                       np.cumsum(np.bincount(inverse, minlength=len(keys)))[:-1])
+    return {tuple(keys[g].tolist()): members[g] for g in np.argsort(first)}
 
 
-def _numeric_column(vals, name, dropped):
-    """Parse one numeric column of the kept rows.
+def _numeric_column(vals, name, kept, auto=False):
+    """Parse one numeric column of the kept rows, each cell once.
 
-    A cell that does not parse, or parses to nan or an infinity, raises
-    RowError naming its data row and the column; dropped lists the indices
-    of the dropped data rows in ascending order, which maps a kept row back
-    to its data row.
+    With auto, a cell that does not parse returns None: the column is
+    categorical. Otherwise such a cell, or one that parses to nan or an
+    infinity, raises RowError naming its data row and the column; kept[k]
+    is the data row of the k-th kept row.
     """
     try:
-        col = np.array([float(v) for v in vals])
+        col = np.fromiter(map(float, vals), float, len(vals))
         if np.isfinite(col).all():
             return col
     except ValueError:
-        pass
+        if auto:
+            return None
     for k, raw in enumerate(vals):  # only on bad input: find the first bad cell
         try:
             if math.isfinite(float(raw)):
@@ -205,12 +211,14 @@ def _numeric_column(vals, name, dropped):
             problem = f"non-finite value {raw!r}"
         except ValueError:
             problem = f"cannot parse {raw!r}"
-        row = k
-        for d in dropped:  # each dropped row at or before it shifts it by one
-            if d > row:
-                break
-            row += 1
-        raise RowError(row, f"{problem} in column {name!r}")
+        raise RowError(int(kept[k]), f"{problem} in column {name!r}")
+
+
+def _levels(vals):
+    """(sorted levels, code of each cell) of a categorical column."""
+    levels = sorted(set(vals))
+    lut = {lv: c for c, lv in enumerate(levels)}
+    return levels, np.fromiter(map(lut.__getitem__, vals), int, len(vals))
 
 
 def load_dataset(path, schema, delimiter=None):
@@ -234,86 +242,70 @@ def load_dataset(path, schema, delimiter=None):
     else:
         rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter) if r]
     header = [h.strip() for h in rows[0]]
-    col_index = {}
     for spec in schema.columns:
         if spec.name not in header:
             raise SchemaError(f"column {spec.name!r} missing from header {header}")
-        col_index[spec.name] = header.index(spec.name)
-
-    body, dropped = [], []
     for i, raw in enumerate(rows[1:]):
-        cells = [c.strip() for c in raw]
-        if len(cells) != len(header):
-            raise RowError(i, f"expected {len(header)} cells, got {len(cells)}")
-        if any(cells[col_index[s.name]] in ("", "?") for s in schema.columns):
-            dropped.append(i)  # row-drop is the only missing-value handling
-            continue
-        body.append(cells)
-    if not body:
+        if len(raw) != len(header):
+            raise RowError(i, f"expected {len(header)} cells, got {len(raw)}")
+    cells = {s.name: list(map(str.strip, map(itemgetter(header.index(s.name)),
+                                             rows[1:])))
+             for s in schema.columns}
+
+    # Row-drop is the only missing-value handling.
+    keep = np.ones(len(rows) - 1, dtype=bool)
+    for vals in cells.values():
+        if "" in vals or "?" in vals:
+            keep[[k for k, v in enumerate(vals) if v in ("", "?")]] = False
+    kept = np.flatnonzero(keep)
+    if not kept.size:
         raise ValueError(f"no usable data rows in {path}")
+    if kept.size < keep.size:
+        cells = {name: [vals[k] for k in kept.tolist()]
+                 for name, vals in cells.items()}
 
-    def column(name):
-        j = col_index[name]
-        return [r[j] for r in body]
-
-    # Decide encodings for 'auto' feature columns.
     feature_blocks, feature_names = [], []
     for spec in schema.feature_columns:
-        vals = column(spec.name)
+        vals = cells[spec.name]
         enc = spec.encoding
-        if enc == "auto":
-            enc = "numeric" if _all_numeric(vals) else "categorical"
+        if enc in ("auto", "numeric"):
+            col = _numeric_column(vals, spec.name, kept, auto=enc == "auto")
+            enc = "numeric" if col is not None else "categorical"
         if enc == "numeric":
-            col = _numeric_column(vals, spec.name, dropped)
             feature_blocks.append(_standardize(col)[:, None])
             feature_names.append(spec.name)
         elif enc == "categorical":
-            levels = sorted(set(vals))
-            for lv in levels[1:]:
-                feature_blocks.append(
-                    np.array([1.0 if v == lv else 0.0 for v in vals])[:, None])
-                feature_names.append(f"{spec.name}={lv}")
+            levels, codes = _levels(vals)
+            feature_blocks.append(
+                (codes[:, None] == np.arange(1, len(levels))).astype(float))
+            feature_names.extend(f"{spec.name}={lv}" for lv in levels[1:])
         else:
             raise SchemaError(f"unknown feature encoding {enc!r} for {spec.name!r}")
 
     sensitive_codes, sensitive_levels, sensitive_names = [], [], []
     for spec in schema.sensitive_columns:
-        vals = column(spec.name)
+        vals = cells[spec.name]
         if spec.encoding == "median":
-            col = _numeric_column(vals, spec.name, dropped)
+            col = _numeric_column(vals, spec.name, kept)
             med = float(np.median(col))
             codes = (col >= med).astype(int)
             levels = [f"<{med:g}", f">={med:g}"]
         else:
-            levels = sorted(set(vals))
-            lut = {lv: c for c, lv in enumerate(levels)}
-            codes = np.array([lut[v] for v in vals], dtype=int)
+            levels, codes = _levels(vals)
         sensitive_codes.append(codes)
         sensitive_levels.append(levels)
         sensitive_names.append(spec.name)
 
-    label_vals = column(schema.label_column.name)
-    label_levels = sorted(set(label_vals))
+    label_levels, y = _levels(cells[schema.label_column.name])
     if len(label_levels) > 2:
         raise SchemaError(
             f"label column {schema.label_column.name!r} has {len(label_levels)} levels")
     if set(label_levels) <= {"0", "1"}:
-        y = np.array([int(v) for v in label_vals])
-    else:
-        y = np.array([label_levels.index(v) for v in label_vals])
+        y = np.array([int(lv) for lv in label_levels])[y]
 
     A = np.column_stack(sensitive_codes)
-    X = np.hstack(feature_blocks) if feature_blocks else np.empty((len(body), 0))
+    X = np.hstack(feature_blocks) if feature_blocks else np.empty((kept.size, 0))
     return Dataset(A, X, y, feature_names, sensitive_names, sensitive_levels)
-
-
-def _all_numeric(vals):
-    try:
-        for v in vals:
-            float(v)
-    except ValueError:
-        return False
-    return True
 
 
 def _standardize(col):
@@ -369,6 +361,8 @@ def resample_positive_rate(d, rates, seed):
 
 def train_test_split(d, test_frac=0.3, seed=0):
     """Split stratified by (group, label); returns (train, test) Datasets."""
+    if not 0.0 < test_frac < 1.0:
+        raise ValueError(f"test_frac must be in (0, 1), got {test_frac}")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
     for key in d.group_keys:

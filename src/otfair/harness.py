@@ -93,7 +93,8 @@ def _flag(key, value):
 
 
 def load_config(path):
-    """Parse an INI experiment file into an ExperimentConfig."""
+    """Parse an INI experiment file into an ExperimentConfig. The keys,
+    their defaults and the loading rules: README, "Experiment files"."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # schema column names are case-sensitive
     with open(path) as fh:

@@ -34,28 +34,28 @@ HEADER = list(SCHEMA)
 
 
 def generate_rows(n, seed=0):
-    """Generate n records as lists of strings matching HEADER."""
+    """Generate n records as tuples of strings matching HEADER."""
     rng = np.random.default_rng(seed)
     races = rng.choice(["Black", "White"], size=n, p=[0.15, 0.85])
     genders = rng.choice(["female", "male"], size=n, p=[0.4, 0.6])
-    rates = np.array([POSITIVE_RATES[(r, g)] for r, g in zip(races, genders)])
-    y = (rng.random(n) < rates).astype(int)
     male = (genders == "male").astype(float)
     white = (races == "White").astype(float)
+    rate = np.array([[POSITIVE_RATES[(r, g)] for g in ("female", "male")]
+                     for r in ("Black", "White")])
+    y = (rng.random(n) < rate[white.astype(int), male.astype(int)]).astype(int)
     age = 37 + 6 * y + rng.normal(0, 22, n)
     edu = 10 + 3.0 * y + 1.0 * male + 0.6 * white + rng.normal(0, 5.0, n)
     hours = 40 + 7.5 * y + 4 * male + rng.normal(0, 20, n)
     capital = y * rng.normal(2.25, 1.2, n) + rng.normal(0, 2.0, n)
     workclass = rng.choice(["private", "public", "self"], size=n,
                            p=[0.7, 0.2, 0.1])
-    rows = []
-    for i in range(n):
-        rows.append([
-            f"{age[i]:.2f}", f"{edu[i]:.2f}", f"{hours[i]:.2f}",
-            f"{capital[i]:.3f}", workclass[i], races[i], genders[i],
-            ">50K" if y[i] else "<=50K",
-        ])
-    return rows
+    columns = [[f"{v:.2f}" for v in age.tolist()],
+               [f"{v:.2f}" for v in edu.tolist()],
+               [f"{v:.2f}" for v in hours.tolist()],
+               [f"{v:.3f}" for v in capital.tolist()],
+               workclass.tolist(), races.tolist(), genders.tolist(),
+               np.where(y == 1, ">50K", "<=50K").tolist()]
+    return list(zip(*columns))
 
 
 def write_csv(path, n, seed=0):

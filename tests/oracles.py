@@ -1,5 +1,11 @@
 """Independent oracles shared by the test modules."""
+import csv
+import io
+import math
+
 import numpy as np
+
+from otfair.data import Dataset, RowError, Schema, SchemaError
 
 
 def survival_gap_integral(a, b):
@@ -53,3 +59,134 @@ def loop_coupling_1d(xs, ys):
             rem_y = n
     return (np.array(rows), np.array(cols),
             np.array(units, dtype=float) / (n * m))
+
+
+def load_dataset_rowwise(path, schema, delimiter=None):
+    """otfair.data.load_dataset as it read files before the column-wise
+    rewrite: strip and check every row, parse 'auto' columns twice, one-hot
+    encode level by level and build the groups row by row.
+
+    The reference the column-wise loader must match: equal Dataset fields
+    and group order, or the same exception type and message.
+    """
+    if isinstance(schema, dict):
+        schema = Schema.from_dict(schema)
+    with open(path, newline="") as fh:
+        text = fh.read()
+    if not text.strip():
+        raise ValueError(f"empty input file: {path}")
+    if delimiter is None:
+        first = text.splitlines()[0]
+        delimiter = "," if "," in first else None  # None -> whitespace split
+    if delimiter is None:
+        rows = [line.split() for line in text.splitlines() if line.strip()]
+    else:
+        rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter) if r]
+    header = [h.strip() for h in rows[0]]
+    col_index = {}
+    for spec in schema.columns:
+        if spec.name not in header:
+            raise SchemaError(f"column {spec.name!r} missing from header {header}")
+        col_index[spec.name] = header.index(spec.name)
+
+    body, dropped = [], []
+    for i, raw in enumerate(rows[1:]):
+        cells = [c.strip() for c in raw]
+        if len(cells) != len(header):
+            raise RowError(i, f"expected {len(header)} cells, got {len(cells)}")
+        if any(cells[col_index[s.name]] in ("", "?") for s in schema.columns):
+            dropped.append(i)
+            continue
+        body.append(cells)
+    if not body:
+        raise ValueError(f"no usable data rows in {path}")
+
+    def column(name):
+        j = col_index[name]
+        return [r[j] for r in body]
+
+    def all_numeric(vals):
+        try:
+            for v in vals:
+                float(v)
+        except ValueError:
+            return False
+        return True
+
+    def numeric_column(vals, name):
+        try:
+            col = np.array([float(v) for v in vals])
+            if np.isfinite(col).all():
+                return col
+        except ValueError:
+            pass
+        for k, raw in enumerate(vals):
+            try:
+                if math.isfinite(float(raw)):
+                    continue
+                problem = f"non-finite value {raw!r}"
+            except ValueError:
+                problem = f"cannot parse {raw!r}"
+            row = k
+            for d in dropped:  # each dropped row at or before it shifts it by one
+                if d > row:
+                    break
+                row += 1
+            raise RowError(row, f"{problem} in column {name!r}")
+
+    def standardize(col):
+        sd = col.std()
+        return (col - col.mean()) / (sd if sd > 0 else 1.0)
+
+    feature_blocks, feature_names = [], []
+    for spec in schema.feature_columns:
+        vals = column(spec.name)
+        enc = spec.encoding
+        if enc == "auto":
+            enc = "numeric" if all_numeric(vals) else "categorical"
+        if enc == "numeric":
+            feature_blocks.append(standardize(numeric_column(vals, spec.name))[:, None])
+            feature_names.append(spec.name)
+        elif enc == "categorical":
+            levels = sorted(set(vals))
+            for lv in levels[1:]:
+                feature_blocks.append(
+                    np.array([1.0 if v == lv else 0.0 for v in vals])[:, None])
+                feature_names.append(f"{spec.name}={lv}")
+        else:
+            raise SchemaError(f"unknown feature encoding {enc!r} for {spec.name!r}")
+
+    sensitive_codes, sensitive_levels, sensitive_names = [], [], []
+    for spec in schema.sensitive_columns:
+        vals = column(spec.name)
+        if spec.encoding == "median":
+            col = numeric_column(vals, spec.name)
+            med = float(np.median(col))
+            codes = (col >= med).astype(int)
+            levels = [f"<{med:g}", f">={med:g}"]
+        else:
+            levels = sorted(set(vals))
+            lut = {lv: c for c, lv in enumerate(levels)}
+            codes = np.array([lut[v] for v in vals], dtype=int)
+        sensitive_codes.append(codes)
+        sensitive_levels.append(levels)
+        sensitive_names.append(spec.name)
+
+    label_vals = column(schema.label_column.name)
+    label_levels = sorted(set(label_vals))
+    if len(label_levels) > 2:
+        raise SchemaError(
+            f"label column {schema.label_column.name!r} has {len(label_levels)} levels")
+    if set(label_levels) <= {"0", "1"}:
+        y = np.array([int(v) for v in label_vals])
+    else:
+        y = np.array([label_levels.index(v) for v in label_vals])
+
+    A = np.column_stack(sensitive_codes)
+    X = np.hstack(feature_blocks) if feature_blocks else np.empty((len(body), 0))
+    groups = {}
+    for i, row in enumerate(map(tuple, A.tolist())):
+        groups.setdefault(row, []).append(i)
+    groups = {k: np.asarray(v, dtype=int) for k, v in groups.items()}
+    return Dataset(A, X, y, feature_names, sensitive_names, sensitive_levels,
+                   groups)

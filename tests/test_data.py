@@ -1,9 +1,13 @@
 """Dataset ingestion, grouping, resampling, and splitting."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import load_dataset_rowwise
 
+from otfair import synthetic
 from otfair.data import (Dataset, InfeasibleRateError, RowError, Schema,
                          SchemaError, UnfairnessSchedule, load_dataset,
                          resample_positive_rate, train_test_split)
@@ -217,3 +221,82 @@ def test_resample_rate_property(n_pos, seed, rate):
     got = out.positive_rate((0,))
     # achieved rate is exact up to integer rounding of the downsampled side
     assert abs(got - rate) <= 1.0 / max(out.n, 1) + 0.5 / n_pos
+
+
+NUMBERS = ["0", "1", "2.5", "-3", "1e3", " 7 ", "1_0", "0.1"]
+LEVELS = ["a", "b", "B", " c", "a\x00", "\u00e9"]
+BAD_CELLS = ["", "?", "nan", "inf", "-Infinity", "1e999", "x"]
+LOADER_SCHEMAS = [
+    {"n": "feature:numeric", "c": "feature:categorical", "a": "feature",
+     "m": "sensitive:median", "s": "sensitive", "y": "label"},
+    {"a": "feature", "s": "sensitive", "y": "label"},
+    {"c": "feature:auto", "n": "sensitive:median", "s": "sensitive:codes",
+     "y": "label"},
+    {"m": "sensitive:median", "y": "label"},
+]
+
+
+@st.composite
+def small_files(draw):
+    """(text, schema) of a small delimited file. Columns n and m hold
+    numbers, c, s and z levels, a either, y a label; a dirty file mixes in
+    missing, non-finite and unparsable cells, and some rows are ragged."""
+    pools = {"n": NUMBERS, "m": NUMBERS, "c": LEVELS, "s": LEVELS, "z": LEVELS,
+             "a": draw(st.sampled_from([NUMBERS, LEVELS])),
+             "y": draw(st.sampled_from([["0", "1"], ["1"], ["no", "yes"], LEVELS]))}
+    header = draw(st.permutations(sorted(pools)))
+    bad = draw(st.sampled_from([[], BAD_CELLS]))
+    rows = [list(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(st.sampled_from(pools[h] + bad)) for h in header]
+        ragged = draw(st.sampled_from([0] * 18 + [-1, 1]))
+        rows.append(row[:-1] if ragged < 0 else row + ["z"] * ragged)
+    delimiter = draw(st.sampled_from([",", " "]))
+    text = "\n".join(delimiter.join(r) for r in rows) + "\n"
+    return text, draw(st.sampled_from(LOADER_SCHEMAS))
+
+
+def _loaded(load, path, schema):
+    """Everything load(path, schema) yields, or the type and message of
+    what it raised."""
+    try:
+        ds = load(path, schema)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return (ds.A.tobytes(), ds.A.shape, ds.X.tobytes(), ds.X.shape,
+            ds.y.tobytes(), ds.feature_names, ds.sensitive_names,
+            [[(type(lv), lv) for lv in levels] for levels in ds.sensitive_levels],
+            [(key, [type(c) for c in key], idx.dtype, idx.tolist())
+             for key, idx in ds.groups.items()])
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_files())
+def test_load_matches_the_rowwise_loader(tmp_path_factory, file):
+    text, schema = file
+    path = tmp_path_factory.getbasetemp() / "loader-oracle.csv"
+    path.write_text(text)
+    assert (_loaded(load_dataset, str(path), schema)
+            == _loaded(load_dataset_rowwise, str(path), schema))
+
+
+def test_load_matches_the_rowwise_loader_on_the_census(census_path):
+    assert (_loaded(load_dataset, census_path, synthetic.SCHEMA)
+            == _loaded(load_dataset_rowwise, census_path, synthetic.SCHEMA))
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "aa3a5e2bef48136bd9052b7451db45e96ae4dfb98e4e5798d9bb507a9c3622a5"),
+    (1, "7ab66bf83e881c706822c99cd8b968c6c1de58f7431a1409827df3cf7b0072ca"),
+])
+def test_synthetic_file_bytes_are_pinned(tmp_path, seed, digest):
+    # Every experiment's data depends on these bytes.
+    path = tmp_path / "census.csv"
+    synthetic.write_csv(path, 1000, seed=seed)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("frac", [-0.1, 0.0, 1.0, 1.5])
+def test_split_rejects_test_frac_outside_the_open_unit_interval(census, frac):
+    with pytest.raises(ValueError, match=rf"^test_frac must be in \(0, 1\), got {frac}$"):
+        train_test_split(census, frac, seed=0)

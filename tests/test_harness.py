@@ -388,11 +388,43 @@ def test_bad_selectors_fail_before_training(drift_config_path, spy_on, bad,
     assert trained == []
 
 
+def test_bad_test_frac_fails_before_training(config_path, spy_on):
+    trained = spy_on("train_lr")
+    cfg = replace(load_config(config_path), test_frac=0.0)
+    with pytest.raises(ValueError, match=r"^test_frac must be in \(0, 1\), got 0.0$"):
+        run_experiment(cfg)
+    assert trained == []
+
+
 def test_run_batch_sweep_sets_up_once(config_path, spy_on):
     loads, trained = spy_on("load_dataset"), spy_on("train_lr")
     rows = run_batch_sweep(load_config(config_path), [4, 8])
     assert len(rows) == 4
     assert (len(loads), len(trained)) == (1, 1)
+
+
+TABLE_SCRIPT = os.path.join(os.path.dirname(SCRIPT), "run_table.py")
+
+
+def test_run_table_sets_up_once(small_csv, spy_on, monkeypatch, capsys):
+    loads, trained = spy_on("load_dataset"), spy_on("train_lr")
+    monkeypatch.setattr(sys, "argv", [
+        TABLE_SCRIPT, "--dataset", small_csv, "--updates", "40",
+        "--batch-size", "8", "--trace-every", "20"])
+    runpy.run_path(TABLE_SCRIPT, run_name="__main__")
+    assert (len(loads), len(trained)) == (1, 1)
+
+    # The table of one run_experiment per method, as with a set-up each.
+    cfg = ExperimentConfig(
+        dataset=small_csv, schema=synthetic.SCHEMA,
+        ot=OtConfig(num_updates=40, batch_scores=8, batch_target=8, seed=0),
+        trace_every=20, split_seed=0)
+    expected = [f"{'method':6s} {'Err-.5':>8s} {'Wass1':>8s} {'SDD':>8s} {'SPDD':>8s}"]
+    for method in ("LR", "COT", "DOT", "DPP"):
+        _, row = run_experiment(replace(cfg, method=method))
+        expected.append(f"{method:6s} {row['err05']:8.3f} {row['wass1']:8.3f} "
+                        f"{row['sdd']:8.3f} {row['spdd']:8.3f}")
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_summary_table_skips_dirs_without_metrics(config_path,
