@@ -181,12 +181,13 @@ class UnfairnessSchedule:
 def _build_groups(A):
     """Row indices per distinct row of A, keyed in first-row order: sums
     over groups (evaluate, sdd) run in dict order."""
-    keys, first, inverse = np.unique(A, axis=0, return_index=True,
-                                     return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
-    members = np.split(np.argsort(inverse, kind="stable"),
-                       np.cumsum(np.bincount(inverse, minlength=len(keys)))[:-1])
-    return {tuple(keys[g].tolist()): members[g] for g in np.argsort(first)}
+    if not len(A):
+        return {}
+    order = np.lexsort(A.T)  # stable: each group's rows stay ascending
+    rows = A[order]
+    starts = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
+    members = sorted(np.split(order, starts), key=lambda m: m[0])
+    return {tuple(A[m[0]].tolist()): m for m in members}
 
 
 def _numeric_column(vals, name, kept, auto=False):
@@ -235,7 +236,7 @@ def load_dataset(path, schema, delimiter=None):
     if not text.strip():
         raise ValueError(f"empty input file: {path}")
     if delimiter is None:
-        first = text.splitlines()[0]
+        first = next(line for line in text.splitlines() if line.strip())
         delimiter = "," if "," in first else None  # None -> whitespace split
     if delimiter is None:
         rows = [line.split() for line in text.splitlines() if line.strip()]

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import dpp as dpp_mod
-from .cot import DualPair, OtConfig, Regularizer, cot_run
+from .cot import DualPair, OtConfig, cot_run
 from .data import (UnfairnessSchedule, load_dataset, resample_positive_rate,
                    train_test_split)
 from .dot import dot_run
@@ -92,6 +92,37 @@ def _flag(key, value):
                          f"0/no/false/off, got {value!r}") from None
 
 
+# [experiment] key -> (config field, parser). A dotted field is on the nested
+# config: "ot.D" on OtConfig, "ot.reg.kind" on its Regularizer. The parser
+# bool stands for configparser's boolean words (_flag). An absent key keeps
+# the dataclass default.
+EXPERIMENT_KEYS = {
+    "dataset": ("dataset", str),
+    "delimiter": ("delimiter", lambda v: v or None),  # empty: detect it
+    "method": ("method", str),
+    "target": ("target", str),
+    "split_seed": ("split_seed", int),
+    "test_frac": ("test_frac", float),
+    "lr_l2": ("lr_l2", float),
+    "include_sensitive": ("include_sensitive", bool),
+    "trace_every": ("trace_every", int),
+    "desk_scale": ("desk_scale", bool),
+    "out": ("out", str),
+    "reg": ("ot.reg.kind", str),
+    "reg_strength": ("ot.reg.strength", float),
+    "rff_features": ("ot.D", int),
+    "kernel_variance": ("ot.sigma2", float),
+    "eps_dual": ("ot.eps_dual", float),
+    "eps_theta": ("ot.eps_theta", float),
+    "updates": ("ot.num_updates", int),
+    "batch_scores": ("ot.batch_scores", int),
+    "batch_target": ("ot.batch_target", int),
+    "antisymmetric": ("ot.antisymmetric", bool),
+    "pair_mode": ("ot.pair_mode", str),
+    "seed": ("ot.seed", int),
+}
+
+
 def load_config(path):
     """Parse an INI experiment file into an ExperimentConfig. The keys,
     their defaults and the loading rules: README, "Experiment files"."""
@@ -100,38 +131,20 @@ def load_config(path):
     with open(path) as fh:
         parser.read_file(fh)
     exp = dict(parser["experiment"]) if parser.has_section("experiment") else {}
-    ot = OtConfig(
-        reg=Regularizer(exp.pop("reg", "entropy"),
-                        float(exp.pop("reg_strength", 0.05))),
-        D=int(exp.pop("rff_features", 100)),
-        sigma2=float(exp.pop("kernel_variance", 0.1)),
-        eps_dual=float(exp.pop("eps_dual", 0.02)),
-        eps_theta=float(exp.pop("eps_theta")) if "eps_theta" in exp else None,
-        num_updates=int(exp.pop("updates", 100_000)),
-        batch_scores=int(exp.pop("batch_scores", 64)),
-        batch_target=int(exp.pop("batch_target", 64)),
-        antisymmetric=_flag("antisymmetric", exp.pop("antisymmetric", "true")),
-        pair_mode=exp.pop("pair_mode", "full"),
-        seed=int(exp.pop("seed", 0)),
-    )
-    cfg = ExperimentConfig(
-        dataset=exp.pop("dataset", ""),
-        schema=dict(parser["schema"]) if parser.has_section("schema") else {},
-        delimiter=exp.pop("delimiter", "") or None,
-        method=exp.pop("method", "COT"),
-        ot=ot,
-        target=exp.pop("target", "barycenter"),
-        split_seed=int(exp.pop("split_seed", 0)),
-        test_frac=float(exp.pop("test_frac", 0.3)),
-        lr_l2=float(exp.pop("lr_l2", 1.0)),
-        include_sensitive=_flag("include_sensitive",
-                                exp.pop("include_sensitive", "true")),
-        trace_every=int(exp.pop("trace_every", 50)),
-        desk_scale=_flag("desk_scale", exp.pop("desk_scale", "false")),
-        out=exp.pop("out", ""),
-    )
-    if exp:
-        raise ValueError(f"unknown key(s) in [experiment]: {', '.join(exp)}")
+    unknown = [k for k in exp if k not in EXPERIMENT_KEYS]
+    if unknown:
+        raise ValueError(f"unknown key(s) in [experiment]: {', '.join(unknown)}")
+    fields = {"": {}, "ot": {}, "ot.reg": {}}
+    for key, value in exp.items():
+        name, parse = EXPERIMENT_KEYS[key]
+        scope, _, attr = name.rpartition(".")
+        fields[scope][attr] = _flag(key, value) if parse is bool else parse(value)
+    if parser.has_section("schema"):
+        fields[""]["schema"] = dict(parser["schema"])
+    ot = OtConfig(**fields["ot"])
+    if fields["ot.reg"]:
+        ot = replace(ot, reg=replace(ot.reg, **fields["ot.reg"]))
+    cfg = ExperimentConfig(ot=ot, **fields[""])
     if parser.has_section("schedule"):
         sched = dict(parser["schedule"])
         cfg.schedule_group = sched.pop("group", "")

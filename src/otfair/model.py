@@ -47,12 +47,8 @@ class LogisticModel:
 
 def sigmoid(z):
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, _CLIP, 1.0 - _CLIP)
+    e = np.exp(-np.abs(z))  # never overflows
+    return np.clip(np.where(z >= 0, 1.0, e) / (1.0 + e), _CLIP, 1.0 - _CLIP)
 
 
 def score_batch(model, Z):

@@ -76,7 +76,7 @@ def load_dataset_rowwise(path, schema, delimiter=None):
     if not text.strip():
         raise ValueError(f"empty input file: {path}")
     if delimiter is None:
-        first = text.splitlines()[0]
+        first = next(line for line in text.splitlines() if line.strip())
         delimiter = "," if "," in first else None  # None -> whitespace split
     if delimiter is None:
         rows = [line.split() for line in text.splitlines() if line.strip()]
@@ -184,9 +184,27 @@ def load_dataset_rowwise(path, schema, delimiter=None):
 
     A = np.column_stack(sensitive_codes)
     X = np.hstack(feature_blocks) if feature_blocks else np.empty((len(body), 0))
+    return Dataset(A, X, y, feature_names, sensitive_names, sensitive_levels,
+                   groups_rowwise(A))
+
+
+def groups_rowwise(A):
+    """Row indices per distinct row of A, keyed in first-row order, built
+    row by row: the reference for otfair.data._build_groups."""
     groups = {}
     for i, row in enumerate(map(tuple, A.tolist())):
         groups.setdefault(row, []).append(i)
-    groups = {k: np.asarray(v, dtype=int) for k, v in groups.items()}
-    return Dataset(A, X, y, feature_names, sensitive_names, sensitive_levels,
-                   groups)
+    return {k: np.asarray(v, dtype=int) for k, v in groups.items()}
+
+
+def sigmoid_two_branch(z):
+    """otfair.model.sigmoid as two masked branches, 1/(1+exp(-z)) for
+    z >= 0 and exp(z)/(1+exp(z)) below, clipped to [eps, 1-eps]."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    eps = np.finfo(float).eps
+    return np.clip(out, eps, 1.0 - eps)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import load_dataset_rowwise
+from oracles import groups_rowwise, load_dataset_rowwise
 
 from otfair import synthetic
 from otfair.data import (Dataset, InfeasibleRateError, RowError, Schema,
-                         SchemaError, UnfairnessSchedule, load_dataset,
-                         resample_positive_rate, train_test_split)
+                         SchemaError, UnfairnessSchedule, _build_groups,
+                         load_dataset, resample_positive_rate, train_test_split)
 
 CSV = """age,color,group,label
 1.0,red,a,1
@@ -107,6 +107,29 @@ def test_load_whitespace_delimiter(tmp_path):
     text = CSV.replace(",", " ")
     ds = load_dataset(_write(tmp_path, text, "data.txt"), SPEC)
     assert ds.n == 5
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+def test_load_skips_leading_blank_lines_before_detecting_the_delimiter(
+        tmp_path, sep):
+    text = CSV.replace(",", sep)
+    blank = _loaded(load_dataset, _write(tmp_path, "\n\n" + text), SPEC)
+    assert blank == _loaded(load_dataset, _write(tmp_path, text, "ref.csv"), SPEC)
+    assert blank == _loaded(load_dataset_rowwise, _write(tmp_path, "\n" + text),
+                            SPEC)
+    assert not isinstance(blank[0], type)  # loaded, not an error
+
+
+@pytest.mark.parametrize("n,levels", [(0, 2), (1, 2), (50, 2), (2_000, 3),
+                                      (2_000, 40)])
+def test_build_groups_matches_the_rowwise_oracle(n, levels):
+    A = np.random.default_rng(n + levels).integers(0, levels, (n, 3))
+    got, want = _build_groups(A), groups_rowwise(A)
+    assert list(got) == list(want)  # first-row order
+    assert all(type(c) is int for key in got for c in key)
+    for key, idx in want.items():
+        assert got[key].dtype == idx.dtype
+        assert got[key].tolist() == idx.tolist()
 
 
 def test_groups_partition_rows(tmp_path):

@@ -1,4 +1,5 @@
 """Experiment harness: configs, runs, persistence, CLI, checkpoints."""
+import functools
 import json
 import os
 import runpy
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from otfair import cli, harness, synthetic
-from otfair.cot import OtConfig
+from otfair.cot import OtConfig, Regularizer
 from otfair.data import UnfairnessSchedule
-from otfair.harness import (ExperimentConfig, build_target, load_checkpoint,
-                            load_config, persist_run, phase_stats, read_rows,
+from otfair.harness import (EXPERIMENT_KEYS, ExperimentConfig, build_target,
+                            load_checkpoint, load_config, persist_run,
+                            phase_stats, read_rows, resolve_manifest,
                             run_batch_sweep, run_drift, run_experiment,
                             save_checkpoint, summary_table, write_rows)
 from otfair.metrics import EmpiricalDistribution
@@ -200,37 +202,12 @@ def test_run_drift_small(drift_config_path):
     assert len(stats) == 2
 
 
-SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                      "scripts", "run_drift.py")
-
-
-def _drift_by_cli(method, config_path, small_csv, out, monkeypatch):
-    assert cli.main(["drift", "--config", config_path, "--method", method,
-                     "--out", out]) == 0
-    return replace(load_config(config_path), method=method, out=out)
-
-
-def _drift_by_script(method, config_path, small_csv, out, monkeypatch):
-    monkeypatch.setattr(sys, "argv", [
-        SCRIPT, "--dataset", small_csv, "--method", method, "--rates",
-        "0.3,0.1", "--duration", "20", "--trace-every", "10", "--out", out])
-    runpy.run_path(SCRIPT, run_name="__main__")
-    schedule = UnfairnessSchedule([({}, 20), ({}, 20)])
-    schedule._raw_rates = [0.3, 0.1]
-    return ExperimentConfig(
-        dataset=small_csv, schema=synthetic.SCHEMA, method=method,
-        ot=OtConfig(seed=0), schedule=schedule, schedule_group="gender=female",
-        trace_every=10, split_seed=0, out=out)
-
-
-@pytest.mark.parametrize("runner,method", [(_drift_by_cli, "COT"),
-                                           (_drift_by_cli, "DOT"),
-                                           (_drift_by_script, "COT")],
-                         ids=["cli-COT", "cli-DOT", "script-COT"])
-def test_drift_writes_the_run_artifacts(runner, method, drift_config_path,
-                                        small_csv, tmp_path, monkeypatch):
+@pytest.mark.parametrize("method", ["COT", "DOT"], ids=["cli-COT", "cli-DOT"])
+def test_drift_writes_the_run_artifacts(method, drift_config_path, tmp_path):
     out = str(tmp_path / "drift")
-    cfg = runner(method, drift_config_path, small_csv, out, monkeypatch)
+    assert cli.main(["drift", "--config", drift_config_path, "--method", method,
+                     "--out", out]) == 0
+    cfg = replace(load_config(drift_config_path), method=method, out=out)
     expected = {"trace.csv", "phase_stats.json", "manifest.json", "model.json"}
     if method == "COT":
         expected.add("checkpoint.json")
@@ -403,28 +380,119 @@ def test_run_batch_sweep_sets_up_once(config_path, spy_on):
     assert (len(loads), len(trained)) == (1, 1)
 
 
-TABLE_SCRIPT = os.path.join(os.path.dirname(SCRIPT), "run_table.py")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+TABLE_SCRIPT = os.path.join(ROOT, "scripts", "run_table.py")
 
 
-def test_run_table_sets_up_once(small_csv, spy_on, monkeypatch, capsys):
+def test_run_table_sets_up_once(config_path, spy_on, monkeypatch, capsys):
     loads, trained = spy_on("load_dataset"), spy_on("train_lr")
-    monkeypatch.setattr(sys, "argv", [
-        TABLE_SCRIPT, "--dataset", small_csv, "--updates", "40",
-        "--batch-size", "8", "--trace-every", "20"])
+    monkeypatch.setattr(sys, "argv", [TABLE_SCRIPT, "--config", config_path,
+                                      "--updates", "30", "--seed", "2"])
     runpy.run_path(TABLE_SCRIPT, run_name="__main__")
     assert (len(loads), len(trained)) == (1, 1)
 
     # The table of one run_experiment per method, as with a set-up each.
-    cfg = ExperimentConfig(
-        dataset=small_csv, schema=synthetic.SCHEMA,
-        ot=OtConfig(num_updates=40, batch_scores=8, batch_target=8, seed=0),
-        trace_every=20, split_seed=0)
+    cfg = load_config(config_path)
+    cfg = replace(cfg, split_seed=2, ot=replace(cfg.ot, num_updates=30, seed=2))
     expected = [f"{'method':6s} {'Err-.5':>8s} {'Wass1':>8s} {'SDD':>8s} {'SPDD':>8s}"]
     for method in ("LR", "COT", "DOT", "DPP"):
         _, row = run_experiment(replace(cfg, method=method))
         expected.append(f"{method:6s} {row['err05']:8.3f} {row['wass1']:8.3f} "
                         f"{row['sdd']:8.3f} {row['spdd']:8.3f}")
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def _shipped(name):
+    return load_config(os.path.join(ROOT, "configs", name))
+
+
+def test_shipped_census_file_is_the_table_and_sweep_set_up():
+    cfg = _shipped("census.ini")
+    assert cfg.schema == synthetic.SCHEMA
+    # The config scripts/run_table.py built from its default flags.
+    table = ExperimentConfig(
+        dataset="data/census.csv", schema=synthetic.SCHEMA,
+        ot=OtConfig(num_updates=20_000, batch_scores=64, batch_target=64,
+                    seed=0),
+        trace_every=200, split_seed=0)
+    assert resolve_manifest(cfg) == resolve_manifest(table)
+    # The batch-sweep script's differed only in trace_every (50), which
+    # spaces the trace rows and leaves the sweep's results alone.
+    sweep = ExperimentConfig(
+        dataset="data/census.csv", schema=synthetic.SCHEMA,
+        ot=OtConfig(num_updates=20_000, seed=0), split_seed=0)
+    assert resolve_manifest(replace(cfg, trace_every=50)) \
+        == resolve_manifest(sweep)
+
+
+def test_sweep_results_do_not_depend_on_trace_every(config_path):
+    cfg = load_config(config_path)
+    assert run_batch_sweep(cfg, [4]) \
+        == run_batch_sweep(replace(cfg, trace_every=7), [4])
+
+
+def test_shipped_drift_file_is_the_drift_set_up():
+    cfg = _shipped("census_drift.ini")
+    assert cfg.schema == synthetic.SCHEMA
+    # The config the drift script built from its default flags, out aside.
+    rates = [0.2, 0.3, 0.4, 0.1, 0.4, 0.2]
+    schedule = UnfairnessSchedule([({}, 5000) for _ in rates])
+    schedule._raw_rates = rates
+    drift = ExperimentConfig(
+        dataset="data/census.csv", schema=synthetic.SCHEMA, method="COT",
+        ot=OtConfig(seed=0), schedule=schedule,
+        schedule_group="gender=female", trace_every=50, split_seed=0)
+    assert resolve_manifest(cfg) == resolve_manifest(drift)
+
+
+def test_absent_keys_keep_the_dataclass_defaults(small_csv, tmp_path):
+    p = tmp_path / "bare.ini"
+    schema = "\n".join(f"{k} = {v}" for k, v in synthetic.SCHEMA.items())
+    p.write_text(f"[experiment]\ndataset = {small_csv}\n[schema]\n{schema}\n")
+    assert resolve_manifest(load_config(str(p))) == resolve_manifest(
+        ExperimentConfig(dataset=small_csv, schema=synthetic.SCHEMA))
+
+
+def test_load_config_sets_every_key(tmp_path):
+    values = {
+        "dataset": "x.csv", "delimiter": ";", "method": "DOT",
+        "target": "pooled", "split_seed": "3", "test_frac": "0.4",
+        "lr_l2": "2.5", "include_sensitive": "no", "trace_every": "7",
+        "desk_scale": "yes", "out": "o", "reg": "l2", "reg_strength": "0.5",
+        "rff_features": "11", "kernel_variance": "0.3", "eps_dual": "0.01",
+        "eps_theta": "0.004", "updates": "9", "batch_scores": "5",
+        "batch_target": "5", "antisymmetric": "off", "pair_mode": "diagonal",
+        "seed": "8"}
+    assert set(values) == set(EXPERIMENT_KEYS)
+    p = tmp_path / "all.ini"
+    p.write_text("[experiment]\n" + "".join(f"{k} = {v}\n"
+                                            for k, v in values.items()))
+    assert resolve_manifest(load_config(str(p))) == resolve_manifest(
+        ExperimentConfig(
+            dataset="x.csv", delimiter=";", method="DOT", target="pooled",
+            split_seed=3, test_frac=0.4, lr_l2=2.5, include_sensitive=False,
+            trace_every=7, desk_scale=True, out="o",
+            ot=OtConfig(reg=Regularizer("l2", 0.5), D=11, sigma2=0.3,
+                        eps_dual=0.01, eps_theta=0.004, num_updates=9,
+                        batch_scores=5, batch_target=5, antisymmetric=False,
+                        pair_mode="diagonal", seed=8)))
+
+
+def test_readme_key_table_is_the_loaded_keys_and_their_defaults():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        cells = [line.split("|")[1:3] for line in fh if line.startswith("| `")]
+    table = {key.strip().strip("`"): default.strip() for key, default in cells}
+    assert list(table) == list(EXPERIMENT_KEYS)
+    unquoted = {"empty": "", "detected": None, "method default": None}
+    for key, cell in table.items():
+        name, parse = EXPERIMENT_KEYS[key]
+        default = functools.reduce(getattr, name.split("."), ExperimentConfig())
+        if cell.startswith("`"):
+            literal = cell.strip("`")
+            value = harness._flag(key, literal) if parse is bool else parse(literal)
+        else:
+            value = unquoted[cell]
+        assert value == default, key
 
 
 def test_summary_table_skips_dirs_without_metrics(config_path,

@@ -6,6 +6,7 @@ from scipy.optimize import approx_fprime
 from otfair.data import Dataset
 from otfair.model import (DegenerateLabelsError, LogisticModel, score_batch,
                           sigmoid, train_lr, _nll, _nll_grad)
+from oracles import sigmoid_two_branch
 
 
 def _toy(n=400, seed=0):
@@ -21,6 +22,16 @@ def test_sigmoid_stable_at_extremes():
     out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     assert 0.0 < out[0] < out[1] < out[2] < 1.0
     assert out[1] == pytest.approx(0.5)
+
+
+def test_sigmoid_is_bit_identical_to_the_two_branch_form():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.normal(0, 5, 100_000), rng.uniform(-800, 800, 100_000),
+                        [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e-300,
+                         -1e-300, 36.7, -36.7, np.inf, -np.inf]])
+    assert sigmoid(z).tobytes() == sigmoid_two_branch(z).tobytes()
+    assert sigmoid(z.reshape(4, -1)).tobytes() == sigmoid_two_branch(z).tobytes()
+    assert np.isnan(sigmoid(np.nan))
 
 
 def test_score_batch_matches_manual():
