@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run LR, COT, DOT and DPP from one set-up and print the summary table.
+With --out, also write the table's rows (method, err05, wass1, sdd, spdd)
+to that CSV file.
 
 Example:
     python scripts/make_data.py --out data/census.csv
-    python scripts/run_table.py --config configs/census.ini
+    python scripts/run_table.py --config configs/census.ini --out table.csv
 """
 import argparse
 from dataclasses import replace
@@ -19,11 +21,16 @@ def main():
 
     print(f"{'method':6s} {'Err-.5':>8s} {'Wass1':>8s} {'SDD':>8s} {'SPDD':>8s}")
     setup = harness._setup(cfg)  # one load, split, LR model and target
+    rows = []
     for method in ("LR", "COT", "DOT", "DPP"):
         _, row, _, _ = harness._fit_and_evaluate(replace(cfg, method=method),
                                                  *setup)
         print(f"{method:6s} {row['err05']:8.3f} {row['wass1']:8.3f} "
               f"{row['sdd']:8.3f} {row['spdd']:8.3f}")
+        rows.append({f: row[f] for f in ("method", "err05", "wass1", "sdd",
+                                         "spdd")})
+    if args.out:
+        harness.write_rows(args.out, rows)
 
 
 if __name__ == "__main__":

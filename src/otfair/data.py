@@ -136,16 +136,21 @@ class Dataset:
         Each sensitive column is one-hot encoded over its levels with the
         first level dropped, so a binary attribute contributes one 0/1 column.
         """
-        idx = np.arange(self.n) if indices is None else np.asarray(indices, dtype=int)
-        blocks = []
-        if include_sensitive:
-            for j, levels in enumerate(self.sensitive_levels):
-                codes = self.A[idx, j]
-                for lv in range(1, len(levels)):
-                    blocks.append((codes == lv).astype(float)[:, None])
-        blocks.append(self.X[idx])
-        blocks.append(np.ones((len(idx), 1)))
-        return np.hstack(blocks)
+        sel = slice(None) if indices is None else np.asarray(indices, dtype=int)
+        X = self.X[sel]
+        n_levels = ([len(levels) - 1 for levels in self.sensitive_levels]
+                    if include_sensitive else [])
+        k = sum(n_levels)
+        Z = np.empty((X.shape[0], k + X.shape[1] + 1))
+        c = 0
+        for j, n_lv in enumerate(n_levels):
+            codes = self.A[sel, j]
+            for lv in range(1, n_lv + 1):
+                Z[:, c] = codes == lv
+                c += 1
+        Z[:, k:-1] = X
+        Z[:, -1] = 1.0
+        return Z
 
     def design_names(self, include_sensitive=True):
         names = []
@@ -241,7 +246,8 @@ def load_dataset(path, schema, delimiter=None):
     if delimiter is None:
         rows = [line.split() for line in text.splitlines() if line.strip()]
     else:
-        rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter) if r]
+        rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter)
+                if any(map(str.strip, r))]
     header = [h.strip() for h in rows[0]]
     for spec in schema.columns:
         if spec.name not in header:

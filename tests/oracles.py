@@ -81,7 +81,8 @@ def load_dataset_rowwise(path, schema, delimiter=None):
     if delimiter is None:
         rows = [line.split() for line in text.splitlines() if line.strip()]
     else:
-        rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter) if r]
+        rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter)
+                if any(c.strip() for c in r)]
     header = [h.strip() for h in rows[0]]
     col_index = {}
     for spec in schema.columns:
@@ -208,3 +209,31 @@ def sigmoid_two_branch(z):
     out[~pos] = ez / (1.0 + ez)
     eps = np.finfo(float).eps
     return np.clip(out, eps, 1.0 - eps)
+
+
+def design_matrix_hstack(d, indices=None, include_sensitive=True):
+    """otfair.data.Dataset.design_matrix as an np.hstack of one block per
+    one-hot sensitive level, then the features and the intercept column."""
+    idx = np.arange(d.n) if indices is None else np.asarray(indices, dtype=int)
+    blocks = []
+    if include_sensitive:
+        for j, levels in enumerate(d.sensitive_levels):
+            codes = d.A[idx, j]
+            for lv in range(1, len(levels)):
+                blocks.append((codes == lv).astype(float)[:, None])
+    blocks.append(d.X[idx])
+    blocks.append(np.ones((len(idx), 1)))
+    return np.hstack(blocks)
+
+
+def dpp_transform_ranked(m, key, s):
+    """otfair.dpp.dpp_transform by rank then quantile: the source rank of s
+    over the group's sorted samples, r / n_src, then the target's
+    left-continuous quantile at max(r / n_src, 1 / n_target)."""
+    if key not in m.group_samples:
+        raise KeyError(f"unknown group {key}")
+    src = m.group_samples[key]
+    s = np.asarray(s, dtype=float)
+    u = np.searchsorted(src, s, side="right") / src.size
+    out = m.target.quantile(np.maximum(u, 1.0 / m.target.n))
+    return float(out) if out.ndim == 0 else out

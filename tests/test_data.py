@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import groups_rowwise, load_dataset_rowwise
+from oracles import design_matrix_hstack, groups_rowwise, load_dataset_rowwise
 
 from otfair import synthetic
 from otfair.data import (Dataset, InfeasibleRateError, RowError, Schema,
@@ -120,6 +120,22 @@ def test_load_skips_leading_blank_lines_before_detecting_the_delimiter(
     assert not isinstance(blank[0], type)  # loaded, not an error
 
 
+@pytest.mark.parametrize("load", [load_dataset, load_dataset_rowwise])
+def test_load_skips_a_line_of_spaces_before_the_header(tmp_path, load):
+    spaced = _loaded(load, _write(tmp_path, "\n \n" + CSV), SPEC)
+    assert spaced == _loaded(load, _write(tmp_path, CSV, "ref.csv"), SPEC)
+    assert not isinstance(spaced[0], type)  # loaded, not an error
+
+
+def test_load_skips_whitespace_lines_between_rows_like_blank_lines(tmp_path):
+    head, rest = CSV.split("\n", 1)
+    blank = _loaded(load_dataset, _write(tmp_path, f"{head}\n\n{rest}"), SPEC)
+    for gap in (" ", "\t ", " , ,,, "):
+        path = _write(tmp_path, f"{head}\n{gap}\n{rest}", "gap.csv")
+        assert _loaded(load_dataset, path, SPEC) == blank
+        assert _loaded(load_dataset_rowwise, path, SPEC) == blank
+
+
 @pytest.mark.parametrize("n,levels", [(0, 2), (1, 2), (50, 2), (2_000, 3),
                                       (2_000, 40)])
 def test_build_groups_matches_the_rowwise_oracle(n, levels):
@@ -162,6 +178,34 @@ def test_design_matrix_without_sensitive(tmp_path):
     ds = load_dataset(_write(tmp_path, CSV), SPEC)
     Z = ds.design_matrix(include_sensitive=False)
     assert Z.shape[1] == ds.X.shape[1] + 1
+
+
+@pytest.mark.parametrize("indices", [None, "array", "list", "empty"])
+@pytest.mark.parametrize("include_sensitive", [True, False])
+@pytest.mark.parametrize("levels,d", [((2,), 3), ((2, 5, 1, 3), 4), ((3,), 0)])
+def test_design_matrix_matches_the_hstack_oracle(levels, d, include_sensitive,
+                                                 indices):
+    rng = np.random.default_rng(len(levels) + d)
+    n = 300
+    A = np.column_stack([rng.integers(0, k, n) for k in levels])
+    ds = Dataset(A, rng.normal(size=(n, d)), rng.integers(0, 2, n),
+                 [f"x{i}" for i in range(d)], [f"s{j}" for j in range(len(levels))],
+                 [[str(v) for v in range(k)] for k in levels])
+    picked = rng.permutation(n)[:120]
+    idx = {None: None, "array": picked, "list": picked.tolist(),
+           "empty": []}[indices]
+    got = ds.design_matrix(idx, include_sensitive=include_sensitive)
+    want = design_matrix_hstack(ds, idx, include_sensitive=include_sensitive)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert got.shape[1] == len(ds.design_names(include_sensitive))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_design_matrix_matches_the_hstack_oracle_on_the_census(census):
+    for include_sensitive in (True, False):
+        assert (census.design_matrix(include_sensitive=include_sensitive).tobytes()
+                == design_matrix_hstack(census, None, include_sensitive).tobytes())
 
 
 def test_dataset_rejects_non_binary_labels():

@@ -1,4 +1,5 @@
 """Experiment harness: configs, runs, persistence, CLI, checkpoints."""
+import csv
 import functools
 import json
 import os
@@ -400,6 +401,24 @@ def test_run_table_sets_up_once(config_path, spy_on, monkeypatch, capsys):
         expected.append(f"{method:6s} {row['err05']:8.3f} {row['wass1']:8.3f} "
                         f"{row['sdd']:8.3f} {row['spdd']:8.3f}")
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_run_table_writes_the_printed_rows_as_csv(tmp_path, monkeypatch,
+                                                  capsys):
+    data = tmp_path / "census.csv"
+    synthetic.write_csv(data, 2_000, seed=4)
+    config = tmp_path / "exp.ini"
+    config.write_text(_config_text(data))
+    out = tmp_path / "table.csv"
+    monkeypatch.setattr(sys, "argv", [TABLE_SCRIPT, "--config", str(config),
+                                      "--updates", "30", "--out", str(out)])
+    runpy.run_path(TABLE_SCRIPT, run_name="__main__")
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "err05", "wass1", "sdd", "spdd"]
+    assert [[r[0]] + [f"{float(v):.3f}" for v in r[1:]]
+            for r in rows[1:]] == printed
 
 
 def _shipped(name):
