@@ -9,8 +9,8 @@ from .cot import (COT_EPS_THETA, DivergenceError, DualPair, OtConfig,
 from .data import (Dataset, GroupKey, InfeasibleRateError, Schema, SchemaError,
                    UnfairnessSchedule, load_dataset, resample_positive_rate,
                    train_test_split)
-from .dot import (DOT_EPS_THETA, Coupling, coupling_cost, dot_run,
-                  dot_theta_update, optimal_coupling_1d)
+from .dot import (DOT_EPS_THETA, Coupling, dot_run, dot_theta_update,
+                  optimal_coupling_1d)
 from .dpp import QuantileMap, dpp_transform, fit_dpp
 from .metrics import (EmpiricalDistribution, err_at_threshold, pooled, sdd,
                       spdd, w1_barycenter, wasserstein1_1d)

@@ -9,7 +9,8 @@ import numpy as np
 
 from .metrics import evaluate
 from .model import LogisticModel, score_batch
-from .rff import DualPotential, eval_features, grad_potential_input, make_rff
+from .rff import (DualPotential, RffMap, eval_features, grad_potential_input,
+                  make_rff)
 
 EXP_CLIP = 30.0  # ceiling on the exp argument in the entropy conjugate
 
@@ -86,7 +87,8 @@ class OtConfig:
 
 @dataclass
 class DualPair:
-    """Potentials for one group comparison, sharing a single feature map."""
+    """Potentials for one group comparison, or a stack of G (rff.DualPotential),
+    sharing a single feature map."""
 
     score_side: DualPotential
     target_side: DualPotential
@@ -114,15 +116,15 @@ def _features(rff_map, xs, ys, pair_mode):
     """Feature rows of both batches and the paired score differences xs - ys."""
     fx = eval_features(rff_map, xs)
     fy = eval_features(rff_map, ys)
-    diff = xs - ys if pair_mode == "diagonal" else xs[:, None] - ys[None, :]
+    diff = xs - ys if pair_mode == "diagonal" else xs[..., None] - ys[..., None, :]
     return fx, fy, diff
 
 
 def _potentials(pair, fx, fy, pair_mode):
     """Potential values on each batch and their paired sums."""
-    lx = fx @ pair.score_side.coeffs
-    ly = fy @ pair.target_side.coeffs
-    pot = lx + ly if pair_mode == "diagonal" else lx[:, None] + ly[None, :]
+    lx = (fx @ pair.score_side.coeffs[..., None])[..., 0]
+    ly = (fy @ pair.target_side.coeffs[..., None])[..., 0]
+    pot = lx + ly if pair_mode == "diagonal" else lx[..., None] + ly[..., None, :]
     return lx, ly, pot
 
 
@@ -131,11 +133,11 @@ def _ascend(pair, reg, fx, fy, pot, cost, eps_dual, antisymmetric, pair_mode):
     if not np.isfinite(a).all():
         raise DivergenceError("non-finite pairing weights after clipping")
     if pair_mode == "diagonal":
-        gx = (1.0 - a) @ fx / fx.shape[0]
-        gy = (1.0 - a) @ fy / fy.shape[0]
+        wx = wy = 1.0 - a
     else:
-        gx = (1.0 - a.mean(axis=1)) @ fx / fx.shape[0]
-        gy = (1.0 - a.mean(axis=0)) @ fy / fy.shape[0]
+        wx, wy = 1.0 - a.mean(axis=-1), 1.0 - a.mean(axis=-2)
+    gx = (wx[..., None, :] @ fx)[..., 0, :] / fx.shape[-2]
+    gy = (wy[..., None, :] @ fy)[..., 0, :] / fy.shape[-2]
     if antisymmetric:
         cx = pair.score_side.coeffs + eps_dual * (gx - gy)
         cy = -cx
@@ -148,21 +150,23 @@ def _ascend(pair, reg, fx, fy, pot, cost, eps_dual, antisymmetric, pair_mode):
                     DualPotential(cy, pair.target_side.map))
 
 
-def _objective(reg, lx, ly, pot, cost):
+def _objective(reg, lx, ly, pot, cost, pair_mode):
+    """Dual objective per pair: a scalar for one pair, (G,) for a stack."""
     penalty = reg.strength * conjugate(reg, (pot - cost) / reg.strength)
-    return float(lx.mean() + ly.mean() - penalty.mean())
+    paired = (-1,) if pair_mode == "diagonal" else (-2, -1)
+    return lx.mean(axis=-1) + ly.mean(axis=-1) - penalty.mean(axis=paired)
 
 
 def _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode):
-    """One group's term Z.T @ (w s (1 - s)) of the parameter gradient."""
+    """Each group's term Z.T @ (w s (1 - s)) of the parameter gradient."""
     a = alpha(reg, pot, cost)
     dlam = grad_potential_input(pair.score_side, s)
     sign = np.sign(diff)  # sign(0) = 0 by convention
     if pair_mode == "diagonal":
         w = (1.0 - a) * dlam + a * sign
     else:
-        w = (1.0 - a).sum(axis=1) * dlam + (a * sign).sum(axis=1)
-    return Z.T @ (w * s * (1.0 - s))
+        w = (1.0 - a).sum(axis=-1) * dlam + (a * sign).sum(axis=-1)
+    return ((w * s * (1.0 - s))[..., None, :] @ Z)[..., 0, :]
 
 
 def _ascend_and_evaluate(pair, reg, xs, ys, eps_dual, antisymmetric, pair_mode):
@@ -174,19 +178,19 @@ def _ascend_and_evaluate(pair, reg, xs, ys, eps_dual, antisymmetric, pair_mode):
     pair = _ascend(pair, reg, fx, fy, _potentials(pair, fx, fy, pair_mode)[2],
                    cost, eps_dual, antisymmetric, pair_mode)
     lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
-    return pair, _objective(reg, lx, ly, pot, cost), pot, cost, diff
+    return pair, _objective(reg, lx, ly, pot, cost, pair_mode), pot, cost, diff
 
 
 def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode):
-    """One COT update for one group, with each batch's features evaluated once.
+    """One COT update for one dual pair or a stack of G, with each batch's
+    features evaluated once.
 
-    s are the model's scores of the design rows Z and sbar the target batch.
-    Ascends the pair, then evaluates on the new potentials the dual
-    objective and the group's term of the parameter gradient. Returns
-    (new pair, objective, gradient term): the arithmetic of dual_update,
-    then dual_objective and _theta_gradient on the new pair.
+    s are the model's scores of the design rows Z, (n,) and (n, d) or
+    (G, n) and (G, n, d), and sbar the target batch. Ascends the pair, then
+    evaluates on the new potentials the dual objective and the gradient term:
+    the arithmetic of dual_update, then dual_objective on the new pair.
+    Returns (new pair, objective, term); for a stack, (G,) and (G, d).
     """
-    s, sbar = _as_batches(s, sbar, pair_mode)
     pair, obj, pot, cost, diff = _ascend_and_evaluate(
         pair, reg, s, sbar, eps_dual, antisymmetric, pair_mode)
     return pair, obj, _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode)
@@ -197,7 +201,7 @@ def dual_objective(pair, reg, xs, ys, pair_mode="full"):
     xs, ys = _as_batches(xs, ys, pair_mode)
     fx, fy, diff = _features(pair.score_side.map, xs, ys, pair_mode)
     lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
-    return _objective(reg, lx, ly, pot, np.abs(diff))
+    return float(_objective(reg, lx, ly, pot, np.abs(diff), pair_mode))
 
 
 def dual_update(pair, reg, xs, ys, eps_dual, antisymmetric=False, pair_mode="full"):
@@ -232,33 +236,16 @@ def estimate_reg_w1(xs_sampler, ys_sampler, cfg):
             raise DivergenceError(
                 f"dual objective diverged at update {k}; reduce eps_dual")
         if k >= burn_in:
-            acc += obj
+            acc += float(obj)
             count += 1
     return acc / max(count, 1), pair
-
-
-def _theta_gradient(model, pairs, batches, target_scores, reg, pair_mode):
-    """Parameter gradient of the summed dual objectives, duals held fixed:
-    the sum over groups of Z.T @ (w s (1 - s))."""
-    grad = np.zeros_like(model.theta)
-    for key, Z in batches.items():
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        pair = pairs[key]
-        if Z.shape[1] != model.theta.shape[0]:
-            raise ValueError("design width does not match model dimension")
-        s, sbar = _as_batches(score_batch(model, Z), target_scores, pair_mode)
-        fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode)
-        pot = _potentials(pair, fx, fy, pair_mode)[2]
-        grad += _theta_term(pair, reg, Z, s, pot, np.abs(diff), diff, pair_mode)
-    return grad
 
 
 def theta_update(model, grad, eps_theta):
     """One descent step theta - eps_theta * grad on the model parameters.
 
     grad is the parameter gradient of the summed dual objectives with the
-    duals held fixed: the sum of the groups' group_step terms, which
-    _theta_gradient recomputes from the model and the batches. The per-pair
+    duals held fixed: the sum of the groups' group_step terms. The per-pair
     1/(N_s N_target) normalization is absorbed into eps_theta. A non-finite
     gradient raises DivergenceError.
     """
@@ -347,34 +334,45 @@ def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
 def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     """Alternating dual/parameter updates over a dataset or dataset schedule.
 
-    Per iteration: sample a target batch; for each group sample a score
-    batch and take its group_step (ascend its dual pair, evaluate the
-    objective and the group's gradient term), then take one theta_update
-    on the summed gradient. Dual pairs are kept across phase
-    shifts. Returns (final model, trace rows, final dual pairs).
-    Deterministic under cfg.seed.
+    Per iteration: sample a target batch and a score batch per group, take
+    one group_step for all groups at once (ascend their stacked dual pairs,
+    evaluate the objectives and the groups' gradient terms), then take one
+    theta_update on the summed gradient. Dual pairs are kept across phase
+    shifts, so every phase must have the first phase's groups; one that does
+    not raises ValueError. Returns (final model, trace rows, final dual
+    pairs by group key). Deterministic under cfg.seed.
     """
     eps_theta = COT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
     pairing_count = (cfg.batch_scores * cfg.batch_target
                      if cfg.pair_mode == "full" else cfg.batch_scores)
-    pairs, objs = {}, {}
+    keys, maps, objs, state = [], [], {}, None
 
     def step(model, sbar, batches, scores):
-        grad = np.zeros_like(model.theta)
-        for i, (key, s) in enumerate(scores.items()):
-            if key not in pairs:
-                # map seed i: child i + 1 of cfg.seed; child 0 is the batch stream
-                seed = np.random.SeedSequence(cfg.seed, spawn_key=(i + 1,))
-                pairs[key] = DualPair.zeros(make_rff(cfg.D, cfg.sigma2, seed))
-            pairs[key], obj, term = group_step(pairs[key], cfg.reg, batches[key],
-                                               s, sbar, cfg.eps_dual,
-                                               cfg.antisymmetric, cfg.pair_mode)
-            objs[key] = obj
-            if not np.isfinite(obj) or abs(obj) > 1e12:
-                raise DivergenceError("dual objective diverged; reduce eps_dual")
-            grad += term
-        return theta_update(model, grad, eps_theta / pairing_count)
+        nonlocal state
+        if state is None:
+            # map g: child g + 1 of cfg.seed; child 0 is the batch stream
+            keys.extend(batches)
+            maps.extend(make_rff(cfg.D, cfg.sigma2, np.random.SeedSequence(
+                cfg.seed, spawn_key=(g + 1,))) for g in range(len(keys)))
+            state = DualPair.zeros(RffMap(np.stack([m.omegas for m in maps]),
+                                          np.stack([m.phases for m in maps]),
+                                          maps[0].sigma2))
+        elif list(batches) != keys:
+            raise ValueError(f"phase groups {list(batches)} differ from the "
+                             f"first phase's {keys}; every phase must have "
+                             "the same groups")
+        state, obj, terms = group_step(
+            state, cfg.reg, np.stack(list(batches.values())),
+            np.stack(list(scores.values())), sbar, cfg.eps_dual,
+            cfg.antisymmetric, cfg.pair_mode)
+        objs.update(zip(keys, obj.tolist()))
+        if not np.isfinite(obj).all() or np.abs(obj).max() > 1e12:
+            raise DivergenceError("dual objective diverged; reduce eps_dual")
+        return theta_update(model, terms.sum(axis=0), eps_theta / pairing_count)
 
     model, trace = _fit_loop(model, data, target, cfg, trace_every,
                              include_sensitive, step, objs)
-    return model, trace, pairs
+    return model, trace, {
+        key: DualPair(DualPotential(state.score_side.coeffs[g], m),
+                      DualPotential(state.target_side.coeffs[g], m))
+        for g, (key, m) in enumerate(zip(keys, maps))}

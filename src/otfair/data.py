@@ -127,9 +127,6 @@ class Dataset:
             self.feature_names, self.sensitive_names, self.sensitive_levels,
         )
 
-    def positive_rate(self, key):
-        return float(self.y[self.groups[key]].mean())
-
     def design_matrix(self, indices=None, include_sensitive=True):
         """Model input rows [encoded sensitive, features, 1].
 

@@ -65,13 +65,6 @@ def optimal_coupling_1d(xs, ys):
                     units / (n * m), n, m)
 
 
-def coupling_cost(c, xs, ys):
-    """Transport cost <T, C> for cost |x - y|; equals the exact empirical W1."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    return float(np.sum(c.mass * np.abs(xs[c.rows] - ys[c.cols])))
-
-
 def dot_theta_update(model, couplings, batches, scores, target_scores,
                      eps_theta):
     """One descent step using only the sparse coupling entries per group.

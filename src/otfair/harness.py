@@ -75,14 +75,6 @@ def write_rows(path, rows):
         writer.writerows(rows)
 
 
-def read_rows(path):
-    """Read a CSV written by write_rows: `update` as int, other cells as
-    float, empty cells as nan."""
-    with open(path, newline="") as fh:
-        return [{k: int(float(v)) if k == "update" else float(v or "nan")
-                 for k, v in row.items()} for row in csv.DictReader(fh)]
-
-
 def _flag(key, value):
     """configparser's boolean words; anything else is an error naming key."""
     try:

@@ -37,13 +37,14 @@ def wasserstein1_1d(p, q):
 
     A stable argsort merges the two sorted samples in linear time. Between
     consecutive merged points n m (F_p - F_q) is an integer count, so only
-    the widths carry rounding; ties add zero width in either order.
+    the widths carry rounding; ties add zero width in either order. The sum
+    is numpy's, not a BLAS dot, so it does not depend on the thread count.
     """
     n, m = p.n, q.n
     x = np.concatenate([p.samples, q.samples])
     order = np.argsort(x, kind="stable")
     gap = np.cumsum(np.where(order < n, m, -n))[:-1]
-    return float(np.abs(gap) @ np.diff(x[order])) / (n * m)
+    return float(np.sum(np.abs(gap) * np.diff(x[order]))) / (n * m)
 
 
 def err_at_threshold(scores, labels, tau=0.5):

@@ -25,30 +25,32 @@ class RffMap:
         if self.sigma2 <= 0:
             raise ValueError("kernel variance must be positive")
         if self.omegas.shape != self.phases.shape:
-            raise ValueError("omegas and phases must have equal length")
+            raise ValueError("omegas and phases must have equal shapes")
 
     @property
     def num_features(self):
-        return self.omegas.shape[0]
+        return self.omegas.shape[-1]
 
 
 @dataclass
 class DualPotential:
-    """A dual variable lambda(x) = coeffs . psi(x) over a shared RffMap."""
+    """A dual variable lambda(x) = coeffs . psi(x) over a shared RffMap. A map
+    of (G, D) frequencies and phases stacks G maps: its potentials hold (G, D)
+    coefficients and take (G, n) inputs, each row through its own map."""
 
     coeffs: np.ndarray
     map: RffMap
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.map.num_features,):
-            raise ValueError("coefficient length must match the feature count")
+        if self.coeffs.shape != self.map.omegas.shape:
+            raise ValueError("coefficient shape must match the feature map's")
         if not np.isfinite(self.coeffs).all():
             raise ValueError("coefficients must be finite")
 
     @classmethod
     def zeros(cls, rff_map):
-        return cls(np.zeros(rff_map.num_features), rff_map)
+        return cls(np.zeros(rff_map.omegas.shape), rff_map)
 
 
 def make_rff(D, sigma2, seed):
@@ -63,13 +65,18 @@ def make_rff(D, sigma2, seed):
     return RffMap(omegas, phases, float(sigma2))
 
 
-def eval_features(m, x):
-    """Feature rows sqrt(2/D) cos(omega x + b); (D,) for scalar x, (n, D) for arrays."""
-    x = np.asarray(x, dtype=float)
-    scale = np.sqrt(2.0 / m.num_features)
+def _argument(m, x):
+    """omega x + b: (D,) for scalar x, (..., n, D) for (..., n) arrays."""
     if x.ndim == 0:
-        return scale * np.cos(m.omegas * x + m.phases)
-    return scale * np.cos(np.outer(x, m.omegas) + m.phases)
+        return m.omegas * x + m.phases
+    return x[..., None] * m.omegas[..., None, :] + m.phases[..., None, :]
+
+
+def eval_features(m, x):
+    """Feature rows sqrt(2/D) cos(omega x + b); (D,) for scalar x, (..., n, D)
+    for (..., n) arrays."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(2.0 / m.num_features) * np.cos(_argument(m, x))
 
 
 def eval_potential(p, x):
@@ -80,7 +87,6 @@ def grad_potential_input(p, x):
     """d/dx of eval_potential: -sqrt(2/D) sum_i c_i omega_i sin(omega_i x + b_i)."""
     x = np.asarray(x, dtype=float)
     m = p.map
-    scale = np.sqrt(2.0 / m.num_features)
-    if x.ndim == 0:
-        return float(-scale * np.sin(m.omegas * x + m.phases) @ (p.coeffs * m.omegas))
-    return -scale * np.sin(np.outer(x, m.omegas) + m.phases) @ (p.coeffs * m.omegas)
+    rows = -np.sqrt(2.0 / m.num_features) * np.sin(_argument(m, x))
+    out = (rows @ (p.coeffs * m.omegas)[..., None])[..., 0]
+    return float(out) if x.ndim == 0 else out

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 
+from otfair.cot import _as_batches, _features, _potentials, _theta_term
 from otfair.data import Dataset, RowError, Schema, SchemaError
+from otfair.model import score_batch
 
 
 def survival_gap_integral(a, b):
@@ -237,3 +239,41 @@ def dpp_transform_ranked(m, key, s):
     u = np.searchsorted(src, s, side="right") / src.size
     out = m.target.quantile(np.maximum(u, 1.0 / m.target.n))
     return float(out) if out.ndim == 0 else out
+
+
+def theta_gradient(model, pairs, batches, target_scores, reg, pair_mode):
+    """Parameter gradient of the summed dual objectives, duals held fixed:
+    the sum over groups of Z.T @ (w s (1 - s)), each group through its own
+    pair, with the batches re-scored from the model."""
+    grad = np.zeros_like(model.theta)
+    for key, Z in batches.items():
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        pair = pairs[key]
+        if Z.shape[1] != model.theta.shape[0]:
+            raise ValueError("design width does not match model dimension")
+        s, sbar = _as_batches(score_batch(model, Z), target_scores, pair_mode)
+        fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode)
+        pot = _potentials(pair, fx, fy, pair_mode)[2]
+        grad += _theta_term(pair, reg, Z, s, pot, np.abs(diff), diff, pair_mode)
+    return grad
+
+
+def coupling_cost(c, xs, ys):
+    """Transport cost <T, C> of an otfair.dot.Coupling for cost |x - y|;
+    equals the exact empirical W1."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    return float(np.sum(c.mass * np.abs(xs[c.rows] - ys[c.cols])))
+
+
+def positive_rate(d, key):
+    """Share of positive labels in group `key` of dataset d."""
+    return float(d.y[d.groups[key]].mean())
+
+
+def read_rows(path):
+    """Read a CSV written by otfair.harness.write_rows: `update` as int,
+    other cells as float, empty cells as nan."""
+    with open(path, newline="") as fh:
+        return [{k: int(float(v)) if k == "update" else float(v or "nan")
+                 for k, v in row.items()} for row in csv.DictReader(fh)]

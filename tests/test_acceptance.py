@@ -12,16 +12,16 @@ from scipy.optimize import linprog
 from otfair import synthetic
 from otfair.cot import (DualPair, OtConfig, Regularizer, cot_run,
                         dual_objective, dual_update, estimate_reg_w1,
-                        conjugate, _theta_gradient)
+                        conjugate)
 from otfair.data import UnfairnessSchedule
-from otfair.dot import dot_run, optimal_coupling_1d, coupling_cost
+from otfair.dot import dot_run, optimal_coupling_1d
 from otfair.harness import ExperimentConfig, persist_run, run_drift, \
     run_experiment
 from otfair.metrics import (EmpiricalDistribution, err_at_threshold, pooled,
                             sdd, spdd, w1_barycenter, wasserstein1_1d)
 from otfair.model import LogisticModel, score_batch
 from otfair.rff import DualPotential, eval_potential, make_rff
-from oracles import survival_gap_integral
+from oracles import coupling_cost, survival_gap_integral, theta_gradient
 
 
 def lp_transport_cost(xs, ys):
@@ -120,8 +120,8 @@ def test_criterion_2_updates_match_finite_differences():
 
                     norm = (Z.shape[0] * sbar.size if pair_mode == "full"
                             else Z.shape[0])
-                    grad = _theta_gradient(model, {0: pair}, {0: Z}, sbar,
-                                           reg, pair_mode) / norm
+                    grad = theta_gradient(model, {0: pair}, {0: Z}, sbar,
+                                          reg, pair_mode) / norm
                     for d in range(grad.size):
                         def obj_t(delta, d=d):
                             t = model.theta.copy()

@@ -1,5 +1,7 @@
 """Regularized-OT dual: conjugates, hand values, naive-loop oracles,
 finite-difference gradient checks, and the alternating run loop."""
+import re
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,15 @@ from otfair import cot
 from otfair.cot import (EXP_CLIP, DivergenceError, DualPair, OtConfig,
                         Regularizer, alpha, conjugate, cot_run,
                         dual_objective, dual_update, estimate_reg_w1,
-                        group_step, theta_update, _theta_gradient)
+                        group_step, theta_update)
 from otfair.data import Dataset
 from otfair.dot import dot_run
 from otfair.metrics import EmpiricalDistribution
 from otfair.model import LogisticModel, score_batch
-from otfair.rff import DualPotential, eval_features, eval_potential, \
+from otfair.rff import DualPotential, RffMap, eval_features, eval_potential, \
     grad_potential_input, make_rff
+
+from oracles import theta_gradient
 
 ENT = Regularizer("entropy", 0.5)
 L2 = Regularizer("l2", 0.5)
@@ -198,7 +202,7 @@ def test_theta_update_matches_naive_triple_loop(reg):
     Z = rng.normal(size=(4, 3))
     sbar = rng.uniform(0.1, 0.9, 3)
     expect = _naive_theta_gradient(model, pair, Z, sbar, reg)
-    grad = _theta_gradient(model, {("g",): pair}, {("g",): Z}, sbar, reg, "full")
+    grad = theta_gradient(model, {("g",): pair}, {("g",): Z}, sbar, reg, "full")
     new = theta_update(model, grad, 0.01)
     assert np.allclose(new.theta, model.theta - 0.01 * expect, atol=1e-12)
 
@@ -212,8 +216,8 @@ def test_theta_gradient_matches_finite_differences(reg, pair_mode):
     Z = rng.normal(size=(4, 3))
     sbar = rng.uniform(0.1, 0.9, 4)
     pairs_norm = Z.shape[0] * sbar.size if pair_mode == "full" else Z.shape[0]
-    grad = _theta_gradient(model, {("g",): pair}, {("g",): Z}, sbar, reg,
-                           pair_mode) / pairs_norm
+    grad = theta_gradient(model, {("g",): pair}, {("g",): Z}, sbar, reg,
+                          pair_mode) / pairs_norm
     h = 1e-6
     for d in range(3):
         def shifted(delta):
@@ -228,8 +232,8 @@ def test_theta_gradient_matches_finite_differences(reg, pair_mode):
 def test_theta_update_width_mismatch():
     model = LogisticModel(np.zeros(3))
     with pytest.raises(ValueError):
-        _theta_gradient(model, {("g",): _pair()}, {("g",): np.zeros((2, 5))},
-                        np.array([0.5]), ENT, "full")
+        theta_gradient(model, {("g",): _pair()}, {("g",): np.zeros((2, 5))},
+                       np.array([0.5]), ENT, "full")
     with pytest.raises(ValueError):
         theta_update(model, np.zeros(5), 0.01)
 
@@ -257,8 +261,41 @@ def test_group_step_is_update_then_objective_then_gradient(reg, pair_mode,
     assert np.array_equal(new.score_side.coeffs, expect.score_side.coeffs)
     assert np.array_equal(new.target_side.coeffs, expect.target_side.coeffs)
     assert obj == dual_objective(expect, reg, s, sbar, pair_mode)
-    assert np.array_equal(term, _theta_gradient(model, {0: expect}, {0: Z},
-                                                sbar, reg, pair_mode))
+    assert np.array_equal(term, theta_gradient(model, {0: expect}, {0: Z},
+                                               sbar, reg, pair_mode))
+
+
+def _stack(pairs):
+    maps = [p.score_side.map for p in pairs]
+    m = RffMap(np.stack([q.omegas for q in maps]),
+               np.stack([q.phases for q in maps]), maps[0].sigma2)
+    return DualPair(
+        DualPotential(np.stack([p.score_side.coeffs for p in pairs]), m),
+        DualPotential(np.stack([p.target_side.coeffs for p in pairs]), m))
+
+
+@pytest.mark.parametrize("reg", [ENT, L2])
+@pytest.mark.parametrize("pair_mode", ["full", "diagonal"])
+@pytest.mark.parametrize("antisymmetric", [False, True])
+def test_stacked_group_step_equals_the_step_of_each_group(reg, pair_mode,
+                                                          antisymmetric):
+    rng = np.random.default_rng(10)
+    model = LogisticModel(rng.normal(size=3) * 0.5)
+    pairs = [_pair(seed=g, scale=0.3) for g in range(4)]
+    Z = rng.normal(size=(4, 6, 3))
+    s = np.stack([score_batch(model, Zg) for Zg in Z])
+    sbar = rng.uniform(0.1, 0.9, 6)
+    new, obj, term = group_step(_stack(pairs), reg, Z, s, sbar, 0.1,
+                                antisymmetric, pair_mode)
+    assert obj.shape == (4,) and term.shape == (4, 3)
+    for g, pair in enumerate(pairs):
+        one, one_obj, one_term = group_step(pair, reg, Z[g], s[g], sbar, 0.1,
+                                            antisymmetric, pair_mode)
+        assert np.array_equal(new.score_side.coeffs[g], one.score_side.coeffs)
+        assert np.array_equal(new.target_side.coeffs[g],
+                              one.target_side.coeffs)
+        assert obj[g] == one_obj
+        assert np.array_equal(term[g], one_term)
 
 
 def test_dual_update_non_finite_coefficients_is_divergence():
@@ -328,17 +365,17 @@ def test_cot_run_over_phases():
 
 
 def test_cot_run_nan_objective_names_the_update(monkeypatch):
-    # The fit evaluates the conjugate penalty once per group per update,
-    # for the objective only; a NaN penalty makes the objective NaN.
+    # The fit evaluates the conjugate penalty once per update, for all
+    # groups' objectives only; a NaN penalty makes the objectives NaN.
     real, calls = cot.conjugate, []
 
-    def nan_on_third(*args):
+    def nan_on_second(*args):
         calls.append(1)
         out = real(*args)
-        return out * np.nan if len(calls) == 3 else out
+        return out * np.nan if len(calls) == 2 else out
 
-    monkeypatch.setattr(cot, "conjugate", nan_on_third)
-    ds = _tiny_dataset()  # two groups: the third call is update 2
+    monkeypatch.setattr(cot, "conjugate", nan_on_second)
+    ds = _tiny_dataset()  # the second call is update 2
     model = LogisticModel(np.array([0.2, 0.5, -0.5, 0.0]))
     target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
     cfg = OtConfig(num_updates=5, batch_scores=8, batch_target=8, seed=1)
@@ -363,6 +400,50 @@ def test_cot_run_non_finite_dual_coefficients_names_the_update(monkeypatch):
     target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
     with pytest.raises(DivergenceError, match=r"update 3\b.*dual coefficients"):
         cot_run(model, _tiny_dataset(), target, cfg)
+
+
+def _three_level_dataset(codes, seed=0, n=40):
+    """Groups of the given codes of one sensitive column with levels a, b, c."""
+    rng = np.random.default_rng(seed)
+    A = np.resize(np.asarray(codes), n)[:, None]
+    y = (rng.random(n) < 0.5).astype(int)
+    y[:2] = [0, 1]
+    return Dataset(A, rng.normal(size=(n, 2)), y, ["x0", "x1"], ["g"],
+                   [["a", "b", "c"]])
+
+
+@pytest.mark.parametrize("later", [[0, 2], [0]])
+def test_cot_run_rejects_a_phase_with_other_groups(later):
+    # Dual pairs are kept across phases, so each phase must have the first
+    # phase's groups; a different set would silently get other groups' maps.
+    phases = [(_three_level_dataset([0, 1]), 3),
+              (_three_level_dataset(later, seed=1), 3)]
+    model = LogisticModel(np.zeros(5))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(D=8, num_updates=6, batch_scores=4, batch_target=4, seed=1)
+    first = r"\[\(0,\), \(1,\)\]"
+    other = re.escape(str([(c,) for c in later]))
+    with pytest.raises(ValueError, match=f"{other}.*{first}"):
+        cot_run(model, phases, target, cfg, trace_every=1)
+
+
+@pytest.mark.parametrize("levels", [2, 5])
+def test_cot_run_evaluates_features_twice_per_update(monkeypatch, levels):
+    # One score-batch and one target-batch evaluation for all groups at once.
+    real, calls = cot.eval_features, []
+
+    def counted(rff_map, x):
+        calls.append(np.shape(x))
+        return real(rff_map, x)
+
+    monkeypatch.setattr(cot, "eval_features", counted)
+    ds = _grid_dataset(levels, 1, per_group=6)
+    assert len(ds.group_keys) == levels
+    model = LogisticModel(np.zeros(len(ds.design_names())))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(D=8, num_updates=7, batch_scores=4, batch_target=3, seed=2)
+    cot_run(model, ds, target, cfg, trace_every=3)
+    assert calls == [(levels, 4), (3,)] * 7
 
 
 def _grid_dataset(levels_a=9, levels_b=8, per_group=3, seed=0):

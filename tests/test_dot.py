@@ -10,12 +10,11 @@ from scipy.stats import wasserstein_distance
 
 from otfair.cot import OtConfig
 from otfair.data import Dataset
-from otfair.dot import (coupling_cost, dot_run, dot_theta_update,
-                        optimal_coupling_1d)
+from otfair.dot import dot_run, dot_theta_update, optimal_coupling_1d
 from otfair.metrics import EmpiricalDistribution
 from otfair.model import LogisticModel, score_batch
 
-from oracles import loop_coupling_1d
+from oracles import coupling_cost, loop_coupling_1d
 
 unit_batch = st.lists(st.floats(min_value=0.0, max_value=1.0,
                                 allow_nan=False), min_size=1, max_size=8)

@@ -15,10 +15,12 @@ from otfair.cot import OtConfig, Regularizer
 from otfair.data import UnfairnessSchedule
 from otfair.harness import (EXPERIMENT_KEYS, ExperimentConfig, build_target,
                             load_checkpoint, load_config, persist_run,
-                            phase_stats, read_rows, resolve_manifest,
+                            phase_stats, resolve_manifest,
                             run_batch_sweep, run_drift, run_experiment,
                             save_checkpoint, summary_table, write_rows)
 from otfair.metrics import EmpiricalDistribution
+
+from oracles import read_rows
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,15 @@
 """Distribution metrics: W1 oracles, disparity integrals, barycenter."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance
 
+import otfair
 from otfair.metrics import (EmpiricalDistribution, err_at_threshold, pooled,
                             sdd, spdd, w1_barycenter, wasserstein1_1d)
 from oracles import survival_gap_integral
@@ -176,3 +181,34 @@ def test_barycenter_dominant_weight_tracks_that_group():
     groups = {("a",): _ed([0.1, 0.2, 0.3]), ("b",): _ed([0.7, 0.8, 0.9])}
     bary = w1_barycenter(groups, weights={("a",): 0.99, ("b",): 0.01})
     assert wasserstein1_1d(bary, groups[("a",)]) < 1e-2
+
+
+# 50 000 rows in four groups: each group-to-pool W1 merges about 12 500 +
+# 50 000 samples, long enough for a threaded BLAS to split a dot product.
+_EVALUATE_SCRIPT = """
+import numpy as np
+from otfair.data import Dataset
+from otfair.metrics import EmpiricalDistribution, evaluate
+rng = np.random.default_rng(11)
+n = 50_000
+A = rng.integers(0, 4, size=(n, 1))
+y = (rng.random(n) < 0.4).astype(int)
+ds = Dataset(A, rng.normal(size=(n, 1)), y, ["x"], ["g"], [list("abcd")])
+scores = rng.beta(2.0 + A[:, 0], 3.0)
+target = EmpiricalDistribution(np.linspace(0.0, 1.0, 1000))
+print({k: v.hex() for k, v in evaluate(ds, scores, target).items()})
+"""
+
+
+def test_evaluate_does_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(otfair.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        out = subprocess.run([sys.executable, "-c", _EVALUATE_SCRIPT], env=env,
+                             capture_output=True, check=True, timeout=120)
+        outs.append(out.stdout)
+    assert outs[0] == outs[1]
