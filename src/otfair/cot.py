@@ -18,6 +18,11 @@ PAIR_MODES = ("full", "diagonal")
 
 COT_EPS_THETA = 2e-3  # default parameter step when OtConfig.eps_theta is None
 
+# Largest per-fit table of target-sample features (G * n_t * D float64s).
+# Within it, cot_run gathers each target batch's features from the table;
+# above it, it evaluates them per update.
+TARGET_TABLE_BYTES = 32 << 20
+
 
 class DivergenceError(RuntimeError):
     """Dual ascent diverged; retry with a smaller dual step size."""
@@ -33,8 +38,9 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("entropy", "l2"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.strength <= 0:
-            raise ValueError("regularization strength must be positive")
+        if not self.strength > 0:
+            raise ValueError("regularization strength must be positive, "
+                             f"got {self.strength}")
 
 
 def conjugate(reg, u):
@@ -79,6 +85,17 @@ class OtConfig:
     def __post_init__(self):
         if self.batch_scores < 1 or self.batch_target < 1:
             raise ValueError("batch sizes must be >= 1")
+        if self.D < 1:
+            raise ValueError(f"D (feature count) must be >= 1, got {self.D}")
+        if self.num_updates < 1:
+            raise ValueError(f"num_updates must be >= 1, got {self.num_updates}")
+        for name in ("sigma2", "eps_dual"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, "
+                                 f"got {getattr(self, name)}")
+        if self.eps_theta is not None and not self.eps_theta > 0:
+            raise ValueError(f"eps_theta must be positive or None, "
+                             f"got {self.eps_theta}")
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
         if self.pair_mode == "diagonal" and self.batch_scores != self.batch_target:
@@ -112,10 +129,12 @@ def _as_batches(xs, ys, pair_mode):
     return xs, ys
 
 
-def _features(rff_map, xs, ys, pair_mode):
-    """Feature rows of both batches and the paired score differences xs - ys."""
+def _features(rff_map, xs, ys, pair_mode, fy=None):
+    """Feature rows of both batches and the paired score differences xs - ys.
+    fy, if given, are the target batch's feature rows (_target_features)."""
     fx = eval_features(rff_map, xs)
-    fy = eval_features(rff_map, ys)
+    if fy is None:
+        fy = eval_features(rff_map, ys)
     diff = xs - ys if pair_mode == "diagonal" else xs[..., None] - ys[..., None, :]
     return fx, fy, diff
 
@@ -150,16 +169,29 @@ def _ascend(pair, reg, fx, fy, pot, cost, eps_dual, antisymmetric, pair_mode):
                     DualPotential(cy, pair.target_side.map))
 
 
-def _objective(reg, lx, ly, pot, cost, pair_mode):
-    """Dual objective per pair: a scalar for one pair, (G,) for a stack."""
-    penalty = reg.strength * conjugate(reg, (pot - cost) / reg.strength)
+def _target_features(table, idx):
+    """Feature rows of target samples idx, gathered from the rows
+    eval_features(map, target.samples) of a table: the same bits as
+    eval_features(map, target.samples[idx]), and C-contiguous like them."""
+    return np.take(table, idx, axis=-2)
+
+
+def _objective(reg, lx, ly, pot, cost, pair_mode, a=None):
+    """Dual objective per pair: a scalar for one pair, (G,) for a stack.
+
+    a, if given, is alpha(reg, pot, cost); for entropy the conjugate equals
+    its derivative, so the penalty is strength * a, bit for bit."""
+    if a is not None and reg.kind == "entropy":
+        penalty = reg.strength * a
+    else:
+        penalty = reg.strength * conjugate(reg, (pot - cost) / reg.strength)
     paired = (-1,) if pair_mode == "diagonal" else (-2, -1)
     return lx.mean(axis=-1) + ly.mean(axis=-1) - penalty.mean(axis=paired)
 
 
-def _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode):
-    """Each group's term Z.T @ (w s (1 - s)) of the parameter gradient."""
-    a = alpha(reg, pot, cost)
+def _theta_term(pair, Z, s, a, diff, pair_mode):
+    """Each group's term Z.T @ (w s (1 - s)) of the parameter gradient, for
+    pairing weights a = alpha(reg, pot, cost) on the pair's potentials."""
     dlam = grad_potential_input(pair.score_side, s)
     sign = np.sign(diff)  # sign(0) = 0 by convention
     if pair_mode == "diagonal":
@@ -169,31 +201,37 @@ def _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode):
     return ((w * s * (1.0 - s))[..., None, :] @ Z)[..., 0, :]
 
 
-def _ascend_and_evaluate(pair, reg, xs, ys, eps_dual, antisymmetric, pair_mode):
-    """Ascend the pair with each batch's features evaluated once, then
-    evaluate the dual objective on the new potentials. Returns (new pair,
-    objective, new paired potentials, cost, xs - ys)."""
-    fx, fy, diff = _features(pair.score_side.map, xs, ys, pair_mode)
+def _ascend_and_evaluate(pair, reg, xs, ys, eps_dual, antisymmetric,
+                         pair_mode, fy=None):
+    """Ascend the pair with each batch's features evaluated once (fy: the
+    target batch's, if already known), then evaluate the dual objective on
+    the new potentials. Returns (new pair, objective, pairing weights alpha
+    on the new potentials, xs - ys)."""
+    fx, fy, diff = _features(pair.score_side.map, xs, ys, pair_mode, fy)
     cost = np.abs(diff)
     pair = _ascend(pair, reg, fx, fy, _potentials(pair, fx, fy, pair_mode)[2],
                    cost, eps_dual, antisymmetric, pair_mode)
     lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
-    return pair, _objective(reg, lx, ly, pot, cost, pair_mode), pot, cost, diff
+    a = alpha(reg, pot, cost)
+    return pair, _objective(reg, lx, ly, pot, cost, pair_mode, a), a, diff
 
 
-def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode):
+def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode,
+               fy=None):
     """One COT update for one dual pair or a stack of G, with each batch's
     features evaluated once.
 
     s are the model's scores of the design rows Z, (n,) and (n, d) or
-    (G, n) and (G, n, d), and sbar the target batch. Ascends the pair, then
-    evaluates on the new potentials the dual objective and the gradient term:
-    the arithmetic of dual_update, then dual_objective on the new pair.
-    Returns (new pair, objective, term); for a stack, (G,) and (G, d).
+    (G, n) and (G, n, d), and sbar the target batch; fy, if given, are its
+    feature rows, (m, D) or (G, m, D), as eval_features gives them. Ascends
+    the pair, then evaluates on the new potentials the dual objective and
+    the gradient term: the arithmetic of dual_update, then dual_objective on
+    the new pair. Returns (new pair, objective, term); for a stack, (G,) and
+    (G, d).
     """
-    pair, obj, pot, cost, diff = _ascend_and_evaluate(
-        pair, reg, s, sbar, eps_dual, antisymmetric, pair_mode)
-    return pair, obj, _theta_term(pair, reg, Z, s, pot, cost, diff, pair_mode)
+    pair, obj, a, diff = _ascend_and_evaluate(
+        pair, reg, s, sbar, eps_dual, antisymmetric, pair_mode, fy)
+    return pair, obj, _theta_term(pair, Z, s, a, diff, pair_mode)
 
 
 def dual_objective(pair, reg, xs, ys, pair_mode="full"):
@@ -288,11 +326,11 @@ def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
               objs):
     """The alternating scheme COT and DOT share; returns (model, trace rows).
 
-    Per update: sample a target batch, then one score batch per group of the
-    current phase, score them, and let step(model, sbar, batches, scores)
-    return the next model. Trace rows are taken at update 0 and every
-    trace_every updates on the phase's held-out set (else its train set);
-    objs holds the per-group columns they report.
+    Per update: sample the indices idx of a target batch in target.samples,
+    then one score batch per group of the current phase, score them, and let
+    step(model, idx, batches, scores) return the next model. Trace rows are
+    taken at update 0 and every trace_every updates on the phase's held-out
+    set (else its train set); objs holds the per-group columns they report.
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
@@ -311,12 +349,12 @@ def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
         left = cfg.num_updates - k_total
         for _ in range(left if duration is None else min(duration, left)):
             k_total += 1
-            sbar = target.samples[rng.integers(0, target.n, cfg.batch_target)]
+            idx = rng.integers(0, target.n, cfg.batch_target)
             batches = {key: Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
                        for key, Zg in group_Z.items()}
             scores = {key: score_batch(model, Z) for key, Z in batches.items()}
             try:
-                model = step(model, sbar, batches, scores)
+                model = step(model, idx, batches, scores)
             except DivergenceError as err:
                 raise DivergenceError(f"update {k_total}: {err}") from err
             if np.abs(model.theta).max() > 1e12:
@@ -337,7 +375,10 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     Per iteration: sample a target batch and a score batch per group, take
     one group_step for all groups at once (ascend their stacked dual pairs,
     evaluate the objectives and the groups' gradient terms), then take one
-    theta_update on the summed gradient. Dual pairs are kept across phase
+    theta_update on the summed gradient. The target batch's features are
+    gathered from a table of the features of every target sample, built on
+    the first update, unless that table would exceed TARGET_TABLE_BYTES;
+    either way they are the same bits. Dual pairs are kept across phase
     shifts, so every phase must have the first phase's groups; one that does
     not raises ValueError. Returns (final model, trace rows, final dual
     pairs by group key). Deterministic under cfg.seed.
@@ -345,10 +386,10 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     eps_theta = COT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
     pairing_count = (cfg.batch_scores * cfg.batch_target
                      if cfg.pair_mode == "full" else cfg.batch_scores)
-    keys, maps, objs, state = [], [], {}, None
+    keys, maps, objs, state, table = [], [], {}, None, None
 
-    def step(model, sbar, batches, scores):
-        nonlocal state
+    def step(model, idx, batches, scores):
+        nonlocal state, table
         if state is None:
             # map g: child g + 1 of cfg.seed; child 0 is the batch stream
             keys.extend(batches)
@@ -357,14 +398,17 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
             state = DualPair.zeros(RffMap(np.stack([m.omegas for m in maps]),
                                           np.stack([m.phases for m in maps]),
                                           maps[0].sigma2))
+            if len(keys) * target.n * cfg.D * 8 <= TARGET_TABLE_BYTES:
+                table = eval_features(state.score_side.map, target.samples)
         elif list(batches) != keys:
             raise ValueError(f"phase groups {list(batches)} differ from the "
                              f"first phase's {keys}; every phase must have "
                              "the same groups")
         state, obj, terms = group_step(
             state, cfg.reg, np.stack(list(batches.values())),
-            np.stack(list(scores.values())), sbar, cfg.eps_dual,
-            cfg.antisymmetric, cfg.pair_mode)
+            np.stack(list(scores.values())), target.samples[idx], cfg.eps_dual,
+            cfg.antisymmetric, cfg.pair_mode,
+            None if table is None else _target_features(table, idx))
         objs.update(zip(keys, obj.tolist()))
         if not np.isfinite(obj).all() or np.abs(obj).max() > 1e12:
             raise DivergenceError("dual objective diverged; reduce eps_dual")

@@ -101,7 +101,8 @@ def dot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     """
     eps_theta = DOT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
 
-    def step(model, sbar, batches, scores):
+    def step(model, idx, batches, scores):
+        sbar = target.samples[idx]
         couplings = {key: optimal_coupling_1d(s, sbar) for key, s in scores.items()}
         return dot_theta_update(model, couplings, batches, scores, sbar,
                                 eps_theta)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from otfair.cot import _as_batches, _features, _potentials, _theta_term
+from otfair.cot import _as_batches, _features, _potentials, _theta_term, alpha
 from otfair.data import Dataset, RowError, Schema, SchemaError
 from otfair.model import score_batch
 
@@ -254,7 +254,8 @@ def theta_gradient(model, pairs, batches, target_scores, reg, pair_mode):
         s, sbar = _as_batches(score_batch(model, Z), target_scores, pair_mode)
         fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode)
         pot = _potentials(pair, fx, fy, pair_mode)[2]
-        grad += _theta_term(pair, reg, Z, s, pot, np.abs(diff), diff, pair_mode)
+        grad += _theta_term(pair, Z, s, alpha(reg, pot, np.abs(diff)), diff,
+                            pair_mode)
     return grad
 
 

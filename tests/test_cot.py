@@ -311,6 +311,13 @@ def test_config_validation():
         OtConfig(pair_mode="grid")
     with pytest.raises(ValueError):
         OtConfig(pair_mode="diagonal", batch_scores=8, batch_target=16)
+    for bad in ({"D": 0}, {"sigma2": 0.0}, {"sigma2": np.nan},
+                {"eps_dual": 0.0}, {"eps_dual": -0.01}, {"eps_theta": -1.0},
+                {"num_updates": 0}, {"num_updates": -5}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            OtConfig(**bad)
+    with pytest.raises(ValueError, match="strength"):
+        Regularizer("entropy", np.nan)
 
 
 def test_estimate_reg_w1_deterministic():
@@ -365,17 +372,19 @@ def test_cot_run_over_phases():
 
 
 def test_cot_run_nan_objective_names_the_update(monkeypatch):
-    # The fit evaluates the conjugate penalty once per update, for all
-    # groups' objectives only; a NaN penalty makes the objectives NaN.
-    real, calls = cot.conjugate, []
+    # The fit calls alpha twice per update, for all groups at once: on the
+    # old potentials (ascent), then on the new ones, where the entropy
+    # objective takes its penalty from it; a NaN there makes the objectives
+    # NaN.
+    real, calls = cot.alpha, []
 
-    def nan_on_second(*args):
+    def nan_on_fourth(*args):
         calls.append(1)
         out = real(*args)
-        return out * np.nan if len(calls) == 2 else out
+        return out * np.nan if len(calls) == 4 else out
 
-    monkeypatch.setattr(cot, "conjugate", nan_on_second)
-    ds = _tiny_dataset()  # the second call is update 2
+    monkeypatch.setattr(cot, "alpha", nan_on_fourth)
+    ds = _tiny_dataset()  # the fourth call is on update 2's new potentials
     model = LogisticModel(np.array([0.2, 0.5, -0.5, 0.0]))
     target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
     cfg = OtConfig(num_updates=5, batch_scores=8, batch_target=8, seed=1)
@@ -427,9 +436,9 @@ def test_cot_run_rejects_a_phase_with_other_groups(later):
         cot_run(model, phases, target, cfg, trace_every=1)
 
 
-@pytest.mark.parametrize("levels", [2, 5])
-def test_cot_run_evaluates_features_twice_per_update(monkeypatch, levels):
-    # One score-batch and one target-batch evaluation for all groups at once.
+def _count_feature_calls(monkeypatch, levels):
+    """Shapes of the inputs cot_run passes to eval_features in a 7-update
+    fit of `levels` groups, batches of 4 scores and 3 target samples."""
     real, calls = cot.eval_features, []
 
     def counted(rff_map, x):
@@ -443,7 +452,24 @@ def test_cot_run_evaluates_features_twice_per_update(monkeypatch, levels):
     target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
     cfg = OtConfig(D=8, num_updates=7, batch_scores=4, batch_target=3, seed=2)
     cot_run(model, ds, target, cfg, trace_every=3)
-    assert calls == [(levels, 4), (3,)] * 7
+    return calls
+
+
+@pytest.mark.parametrize("levels", [2, 5])
+def test_cot_run_evaluates_features_twice_per_update(monkeypatch, levels):
+    # One evaluation of the 40 target samples for the fit's feature table,
+    # then one score-batch evaluation per update for all groups at once.
+    assert _count_feature_calls(monkeypatch, levels) == (
+        [(40,)] + [(levels, 4)] * 7)
+
+
+@pytest.mark.parametrize("levels", [2, 5])
+def test_cot_run_above_the_table_bound_evaluates_each_target_batch(
+        monkeypatch, levels):
+    # No table: a score-batch and a target-batch evaluation per update.
+    monkeypatch.setattr(cot, "TARGET_TABLE_BYTES", 0)
+    assert _count_feature_calls(monkeypatch, levels) == (
+        [(levels, 4), (3,)] * 7)
 
 
 def _grid_dataset(levels_a=9, levels_b=8, per_group=3, seed=0):

@@ -3,6 +3,7 @@ import csv
 import functools
 import json
 import os
+import re
 import runpy
 import sys
 from dataclasses import replace
@@ -285,6 +286,38 @@ def test_experiment_config_rejects_trace_every_below_one(small_csv, tmp_path,
     with pytest.raises(ValueError, match="trace_every"):
         cli.main(["run", "--config", config_path, "--method", "COT",
                   "--trace-every", "0", "--out", str(tmp_path / "run")])
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("field,key,value", [
+    ("D", "rff_features", 0),
+    ("sigma2", "kernel_variance", 0.0),
+    ("eps_dual", "eps_dual", -0.01),
+    ("eps_theta", "eps_theta", 0.0),
+    ("num_updates", "updates", -5),
+])
+def test_bad_solver_settings_fail_before_training(small_csv, tmp_path,
+                                                  config_path, spy_on, field,
+                                                  key, value):
+    trained = spy_on("train_lr")
+    match = rf"^{field}\b.* got {re.escape(str(value))}$"
+    with pytest.raises(ValueError, match=match):
+        OtConfig(**{field: value})
+    p = tmp_path / "bad.ini"
+    text = _config_text(small_csv)
+    if key == "updates":
+        text = text.replace("updates = 40\n", "")
+    p.write_text(text.replace("[schema]", f"{key} = {value}\n\n[schema]"))
+    with pytest.raises(ValueError, match=match):
+        load_config(str(p))
+    runs = [["--config", str(p)]]
+    if key == "updates":
+        runs.append(["--config", config_path, "--updates", str(value)])
+    for args in runs:
+        with pytest.raises(ValueError, match=match):
+            cli.main(["run", "--method", "COT", *args,
+                      "--out", str(tmp_path / "run")])
+    assert trained == []
     assert not os.path.exists(tmp_path / "run")
 
 
