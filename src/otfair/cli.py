@@ -97,7 +97,10 @@ def main(argv=None):
         print(text)
         return 0
 
-    cfg = _apply_overrides(load_config(args.config), args)
+    try:
+        cfg = _apply_overrides(load_config(args.config), args)
+    except ValueError as err:
+        parser.error(str(err))
 
     if args.command in ("run", "drift"):
         if args.command == "run":

@@ -326,11 +326,12 @@ def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
               objs):
     """The alternating scheme COT and DOT share; returns (model, trace rows).
 
-    Per update: sample the indices idx of a target batch in target.samples,
-    then one score batch per group of the current phase, score them, and let
-    step(model, idx, batches, scores) return the next model. Trace rows are
-    taken at update 0 and every trace_every updates on the phase's held-out
-    set (else its train set); objs holds the per-group columns they report.
+    Per update: draw a target batch's indices idx in target.samples, then
+    all G groups' score rows in one draw (key order), gather them as Z,
+    (G, b, d), score them in one call as s, (G, b), and let step(model,
+    idx, keys, Z, s) return the next model. Trace rows are taken at update
+    0 and every trace_every updates on the phase's held-out set (else its
+    train set); objs holds the per-group columns they report.
     """
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
@@ -340,9 +341,12 @@ def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
     trace = []
     k_total = 0
     for phase_data, duration, phase_eval in _iter_phases(data):
-        group_Z = {key: phase_data.design_matrix(
-                       phase_data.groups[key], include_sensitive=include_sensitive)
-                   for key in phase_data.group_keys}
+        keys = phase_data.group_keys
+        members = [phase_data.groups[key] for key in keys]
+        sizes = np.array([m.size for m in members])[:, None]
+        starts = np.cumsum(sizes, axis=0) - sizes
+        Z_all = phase_data.design_matrix(np.concatenate(members),
+                                         include_sensitive=include_sensitive)
         ev = phase_eval if phase_eval is not None else phase_data
         if k_total == 0:
             trace.append(_eval_row(0, model, ev, target, include_sensitive, objs))
@@ -350,11 +354,10 @@ def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
         for _ in range(left if duration is None else min(duration, left)):
             k_total += 1
             idx = rng.integers(0, target.n, cfg.batch_target)
-            batches = {key: Zg[rng.integers(0, Zg.shape[0], cfg.batch_scores)]
-                       for key, Zg in group_Z.items()}
-            scores = {key: score_batch(model, Z) for key, Z in batches.items()}
+            Z = Z_all[starts + rng.integers(0, sizes, (len(keys),
+                                                       cfg.batch_scores))]
             try:
-                model = step(model, idx, batches, scores)
+                model = step(model, idx, keys, Z, score_batch(model, Z))
             except DivergenceError as err:
                 raise DivergenceError(f"update {k_total}: {err}") from err
             if np.abs(model.theta).max() > 1e12:
@@ -372,10 +375,9 @@ def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
 def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     """Alternating dual/parameter updates over a dataset or dataset schedule.
 
-    Per iteration: sample a target batch and a score batch per group, take
-    one group_step for all groups at once (ascend their stacked dual pairs,
-    evaluate the objectives and the groups' gradient terms), then take one
-    theta_update on the summed gradient. The target batch's features are
+    Per update, take one group_step on all groups' stacked batches (ascend
+    their stacked dual pairs, evaluate the objectives and the groups'
+    gradient terms), then one theta_update on the summed gradient. The target batch's features are
     gathered from a table of the features of every target sample, built on
     the first update, unless that table would exceed TARGET_TABLE_BYTES;
     either way they are the same bits. Dual pairs are kept across phase
@@ -388,11 +390,11 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
                      if cfg.pair_mode == "full" else cfg.batch_scores)
     keys, maps, objs, state, table = [], [], {}, None, None
 
-    def step(model, idx, batches, scores):
+    def step(model, idx, phase_keys, Z, s):
         nonlocal state, table
         if state is None:
             # map g: child g + 1 of cfg.seed; child 0 is the batch stream
-            keys.extend(batches)
+            keys.extend(phase_keys)
             maps.extend(make_rff(cfg.D, cfg.sigma2, np.random.SeedSequence(
                 cfg.seed, spawn_key=(g + 1,))) for g in range(len(keys)))
             state = DualPair.zeros(RffMap(np.stack([m.omegas for m in maps]),
@@ -400,13 +402,12 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
                                           maps[0].sigma2))
             if len(keys) * target.n * cfg.D * 8 <= TARGET_TABLE_BYTES:
                 table = eval_features(state.score_side.map, target.samples)
-        elif list(batches) != keys:
-            raise ValueError(f"phase groups {list(batches)} differ from the "
+        elif phase_keys != keys:
+            raise ValueError(f"phase groups {phase_keys} differ from the "
                              f"first phase's {keys}; every phase must have "
                              "the same groups")
         state, obj, terms = group_step(
-            state, cfg.reg, np.stack(list(batches.values())),
-            np.stack(list(scores.values())), target.samples[idx], cfg.eps_dual,
+            state, cfg.reg, Z, s, target.samples[idx], cfg.eps_dual,
             cfg.antisymmetric, cfg.pair_mode,
             None if table is None else _target_features(table, idx))
         objs.update(zip(keys, obj.tolist()))

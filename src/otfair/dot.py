@@ -17,8 +17,9 @@ DOT_EPS_THETA = 5e-3  # default parameter step when OtConfig.eps_theta is None
 class Coupling:
     """Sparse optimal coupling under uniform marginals.
 
-    rows/cols index the score/target batches; mass entries are positive and
-    sum to 1, with row sums 1/n_rows and column sums 1/n_cols.
+    rows index the score batch, or each row of a stack as shape (G, K); cols
+    index the target batch. Masses are positive and sum to 1, with row sums
+    1/n_rows and column sums 1/n_cols.
     """
 
     rows: np.ndarray
@@ -50,43 +51,38 @@ def _rank_grid(n, m):
 def optimal_coupling_1d(xs, ys):
     """Optimal coupling for cost |x - y| by sorted monotone mass splitting.
 
-    Exact for 1-D convex costs; runs in O(n log n). Masses are computed in
-    integer units of 1/(n*m) so the marginals are exact. Sort ties break by
-    original index (stable sort).
+    Couples xs, (n,) or each row of a (G, n) stack, with ys, sorted once;
+    exact for 1-D convex costs, O(n log n) per row. Masses are in integer
+    units of 1/(n*m), so the marginals are exact; ties break by index.
     """
-    xs = np.asarray(xs, dtype=float).ravel()
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.size == 0 or ys.size == 0:
         raise ValueError("batches must be non-empty")
-    n, m = xs.size, ys.size
+    n, m = xs.shape[-1], ys.size
     x_rank, y_rank, units = _rank_grid(n, m)
-    return Coupling(np.argsort(xs, kind="stable")[x_rank],
+    return Coupling(np.argsort(xs, axis=-1, kind="stable")[..., x_rank],
                     np.argsort(ys, kind="stable")[y_rank],
                     units / (n * m), n, m)
 
 
-def dot_theta_update(model, couplings, batches, scores, target_scores,
-                     eps_theta):
-    """One descent step using only the sparse coupling entries per group.
+def dot_theta_update(model, coupling, Z, s, sbar, eps_theta, keys):
+    """One descent step using only the sparse coupling entries of G groups.
 
-    scores[key] are the model's scores of the design rows batches[key], as
-    the fit loop computed them; couplings[key] couples them with the
-    target batch.
+    s, (G, n), are the model's scores of the design rows Z, (G, n, d), as
+    the fit loop computed them; coupling couples each row of s with the
+    target batch sbar, and keys name the groups in errors.
     """
-    sbar = np.asarray(target_scores, dtype=float).ravel()
-    grad = np.zeros_like(model.theta)
-    for key, Z in batches.items():
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        if Z.shape[1] != model.theta.shape[0]:
-            raise ValueError("design width does not match model dimension")
-        s = np.asarray(scores[key], dtype=float).ravel()
-        if s.size != Z.shape[0]:
-            raise ValueError(f"group {key}: {s.size} scores for "
-                             f"{Z.shape[0]} design rows")
-        c = couplings[key]
-        sign = np.sign(s[c.rows] - sbar[c.cols])  # sign(0) = 0
-        w = np.bincount(c.rows, c.mass * sign, minlength=s.size)
-        grad += Z.T @ (w * s * (1.0 - s))
+    if Z.shape[-1] != model.theta.shape[0]:
+        raise ValueError("design width does not match model dimension")
+    if s.shape != Z.shape[:-1]:
+        raise ValueError(f"groups {', '.join(map(str, keys))}: {s.shape[-1]} "
+                         f"scores for {Z.shape[-2]} design rows")
+    flat = coupling.rows + s.shape[-1] * np.arange(s.shape[0])[:, None]
+    sign = np.sign(s.ravel()[flat] - sbar[coupling.cols])  # sign(0) = 0
+    w = np.bincount(flat.ravel(), (coupling.mass * sign).ravel(),
+                    minlength=s.size).reshape(s.shape)
+    grad = ((w * s * (1.0 - s))[:, None, :] @ Z)[:, 0, :].sum(axis=0)
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite parameter gradient; reduce eps_theta")
     return LogisticModel(model.theta - eps_theta * grad, model.names,
@@ -96,16 +92,16 @@ def dot_theta_update(model, couplings, batches, scores, target_scores,
 def dot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     """Alternate coupling re-estimation and parameter updates (cot_run analog).
 
+    One coupling and one step per update serve all groups' stacked batches.
     Uses cfg batch sizes, seed, eps_theta and num_updates; the regularized
     dual machinery is not involved. Deterministic under cfg.seed.
     """
     eps_theta = DOT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
 
-    def step(model, idx, batches, scores):
+    def step(model, idx, keys, Z, s):
         sbar = target.samples[idx]
-        couplings = {key: optimal_coupling_1d(s, sbar) for key, s in scores.items()}
-        return dot_theta_update(model, couplings, batches, scores, sbar,
-                                eps_theta)
+        return dot_theta_update(model, optimal_coupling_1d(s, sbar), Z, s,
+                                sbar, eps_theta, keys)
 
     return _fit_loop(model, data, target, cfg, trace_every, include_sensitive,
                      step, {})

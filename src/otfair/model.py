@@ -53,8 +53,8 @@ def sigmoid(z):
 
 def score_batch(model, Z):
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if Z.shape[1] != model.theta.shape[0]:
-        raise ValueError(f"input width {Z.shape[1]} != model dim {model.theta.shape[0]}")
+    if Z.shape[-1] != model.theta.shape[0]:
+        raise ValueError(f"input width {Z.shape[-1]} != model dim {model.theta.shape[0]}")
     return sigmoid(Z @ model.theta)
 
 

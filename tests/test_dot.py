@@ -10,7 +10,8 @@ from scipy.stats import wasserstein_distance
 
 from otfair.cot import OtConfig
 from otfair.data import Dataset
-from otfair.dot import dot_run, dot_theta_update, optimal_coupling_1d
+from otfair.dot import (Coupling, dot_run, dot_theta_update,
+                        optimal_coupling_1d)
 from otfair.metrics import EmpiricalDistribution
 from otfair.model import LogisticModel, score_batch
 
@@ -120,6 +121,26 @@ def test_couplings_of_one_shape_share_no_writable_array(rng):
     _assert_matches_loop(xs, ys)
 
 
+@pytest.mark.parametrize("G, n, m", [(1, 1, 1), (3, 8, 8), (4, 64, 37),
+                                     (2, 5, 256), (5, 256, 256)])
+def test_stacked_coupling_matches_the_loop_oracle_per_row(rng, G, n, m):
+    # Each row of a (G, n) stack, coupled with one shared target batch,
+    # equals that row coupled on its own; half the cases are tie-heavy.
+    for ties in (False, True):
+        if ties:
+            xs, ys = rng.integers(0, 5, (G, n)) / 4, rng.integers(0, 5, m) / 4
+        else:
+            xs, ys = rng.random((G, n)), rng.random(m)
+        c = optimal_coupling_1d(xs, ys)
+        assert c.rows.shape == (G, c.mass.size)
+        assert (c.n_rows, c.n_cols) == (n, m)
+        for g in range(G):
+            rows, cols, mass = loop_coupling_1d(xs[g], ys)
+            assert np.array_equal(c.rows[g], rows)
+            assert np.array_equal(c.cols, cols)
+            assert np.array_equal(c.mass, mass)
+
+
 def test_coupling_rejects_empty():
     with pytest.raises(ValueError):
         optimal_coupling_1d(np.array([]), np.array([0.5]))
@@ -136,31 +157,34 @@ def _naive_dot_gradient(model, coupling, Z, sbar):
 
 
 def test_dot_theta_update_matches_dense_loop(rng):
+    # Three groups: the stacked step's gradient is the sum of each group's
+    # dense-loop gradient against the shared target batch.
     model = LogisticModel(rng.normal(size=3) * 0.5)
-    Z = rng.normal(size=(5, 3))
+    Z = rng.normal(size=(3, 5, 3))
     sbar = rng.uniform(0.1, 0.9, 4)
     s = score_batch(model, Z)
     c = optimal_coupling_1d(s, sbar)
-    expect = _naive_dot_gradient(model, c, Z, sbar)
-    new = dot_theta_update(model, {("g",): c}, {("g",): Z}, {("g",): s},
-                           sbar, 0.01)
+    expect = sum(_naive_dot_gradient(
+        model, Coupling(c.rows[g], c.cols, c.mass, 5, 4), Z[g], sbar)
+        for g in range(3))
+    new = dot_theta_update(model, c, Z, s, sbar, 0.01, [("a",), ("b",), ("c",)])
     assert np.allclose(new.theta, model.theta - 0.01 * expect, atol=1e-12)
 
 
 def test_dot_theta_update_width_mismatch():
     model = LogisticModel(np.zeros(3))
-    c = optimal_coupling_1d(np.array([0.5]), np.array([0.5]))
+    c = optimal_coupling_1d(np.array([[0.5]]), np.array([0.5]))
     with pytest.raises(ValueError):
-        dot_theta_update(model, {("g",): c}, {("g",): np.zeros((1, 5))},
-                         {("g",): np.array([0.5])}, np.array([0.5]), 0.01)
+        dot_theta_update(model, c, np.zeros((1, 1, 5)), np.array([[0.5]]),
+                         np.array([0.5]), 0.01, [("g",)])
 
 
 def test_dot_theta_update_names_the_group_whose_scores_do_not_fit():
     model = LogisticModel(np.zeros(3))
-    c = optimal_coupling_1d(np.array([0.5, 0.5]), np.array([0.5]))
+    c = optimal_coupling_1d(np.array([[0.5, 0.5]]), np.array([0.5]))
     with pytest.raises(ValueError, match=r"\('g',\).*3 scores for 2 design rows"):
-        dot_theta_update(model, {("g",): c}, {("g",): np.zeros((2, 3))},
-                         {("g",): np.full(3, 0.5)}, np.array([0.5]), 0.01)
+        dot_theta_update(model, c, np.zeros((1, 2, 3)), np.full((1, 3), 0.5),
+                         np.array([0.5]), 0.01, [("g",)])
 
 
 def _tiny_dataset(seed=0, n=80):

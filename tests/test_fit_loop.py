@@ -337,12 +337,28 @@ def test_dot_run_matches_the_reference_loop(shape):
         assert _rows(trace) == _rows(ref_trace)
 
 
+@pytest.mark.parametrize("b", [1, 10, 256])
+def test_one_stacked_draw_equals_one_draw_per_group(b):
+    # The fit loop draws all groups' score rows in one call. It must give
+    # the integers of one call per group in key order, and leave the
+    # generator in the same state, buffered 32-bit half included.
+    sizes = np.array([1, 7, 100_000, 1, 64])
+    stacked_rng, looped_rng = (np.random.default_rng(
+        np.random.SeedSequence(3).spawn(1)[0]) for _ in range(2))
+    stacked = stacked_rng.integers(0, sizes[:, None], (sizes.size, b))
+    looped = np.stack([looped_rng.integers(0, n, b) for n in sizes])
+    assert np.array_equal(stacked, looped)
+    assert stacked_rng.bit_generator.state == looped_rng.bit_generator.state
+    assert stacked_rng.integers(0, 2**40) == looped_rng.integers(0, 2**40)
+
+
 def test_dot_run_scores_each_batch_once(monkeypatch):
-    # One score per group per update, plus one per trace row.
+    # One stacked score of all groups' batches per update, (G, b, d), plus
+    # one per trace row.
     real, calls = score_batch, []
 
     def counted(model, Z):
-        calls.append(len(Z))
+        calls.append(np.shape(Z))
         return real(model, Z)
 
     for module in (cot, dot):
@@ -351,8 +367,8 @@ def test_dot_run_scores_each_batch_once(monkeypatch):
     cfg = OtConfig(num_updates=22, batch_scores=8, batch_target=6, seed=4)
     _, trace = dot_run(MODEL, _dataset(0), TARGET, cfg, trace_every=5)
     assert len(trace) == 5
-    assert calls.count(8) == 3 * 22
-    assert len(calls) == 3 * 22 + len(trace)
+    assert calls.count((3, 8, MODEL.theta.size)) == 22
+    assert len(calls) == 22 + len(trace)
 
 
 @pytest.mark.parametrize("shape", ["dataset", "phases"])

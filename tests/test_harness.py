@@ -253,6 +253,32 @@ def test_cli_overrides_apply(config_path, tmp_path):
     assert rows[-1]["update"] == 20
 
 
+def _cli_error(capsys, argv):
+    """Run the CLI on argv, which must fail as a usage error: exit status 2
+    and one `otfair: error: ...` line. Returns the message after the prefix."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [ln for ln in err.splitlines() if ln.startswith("otfair: error: ")]
+    assert len(lines) == 1, err
+    return lines[0][len("otfair: error: "):]
+
+
+@pytest.mark.parametrize("command", ["run", "drift"])
+def test_cli_reports_an_out_of_range_value_as_a_usage_error(
+        drift_config_path, tmp_path, capsys, command):
+    # An override the solver's config rejects is one argparse error line
+    # with exit status 2, not a traceback.
+    msg = _cli_error(capsys, [command, "--config", drift_config_path,
+                              "--method", "COT", "--updates", "-5",
+                              "--out", str(tmp_path / "run")])
+    assert msg == "num_updates must be >= 1, got -5"
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_cli_export_duals(config_path, tmp_path):
     out = str(tmp_path / "cot_run")
     cli.main(["run", "--config", config_path, "--method", "COT",
@@ -275,7 +301,7 @@ def test_summary_table_reads_metrics(config_path, tmp_path):
 
 
 def test_experiment_config_rejects_trace_every_below_one(small_csv, tmp_path,
-                                                         config_path):
+                                                         config_path, capsys):
     with pytest.raises(ValueError, match="trace_every"):
         ExperimentConfig(trace_every=0)
     p = tmp_path / "zero.ini"
@@ -283,9 +309,9 @@ def test_experiment_config_rejects_trace_every_below_one(small_csv, tmp_path,
                                                  "trace_every = 0"))
     with pytest.raises(ValueError, match="trace_every"):
         load_config(str(p))
-    with pytest.raises(ValueError, match="trace_every"):
-        cli.main(["run", "--config", config_path, "--method", "COT",
-                  "--trace-every", "0", "--out", str(tmp_path / "run")])
+    assert "trace_every" in _cli_error(capsys, [
+        "run", "--config", config_path, "--method", "COT",
+        "--trace-every", "0", "--out", str(tmp_path / "run")])
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -298,7 +324,7 @@ def test_experiment_config_rejects_trace_every_below_one(small_csv, tmp_path,
 ])
 def test_bad_solver_settings_fail_before_training(small_csv, tmp_path,
                                                   config_path, spy_on, field,
-                                                  key, value):
+                                                  key, value, capsys):
     trained = spy_on("train_lr")
     match = rf"^{field}\b.* got {re.escape(str(value))}$"
     with pytest.raises(ValueError, match=match):
@@ -314,9 +340,8 @@ def test_bad_solver_settings_fail_before_training(small_csv, tmp_path,
     if key == "updates":
         runs.append(["--config", config_path, "--updates", str(value)])
     for args in runs:
-        with pytest.raises(ValueError, match=match):
-            cli.main(["run", "--method", "COT", *args,
-                      "--out", str(tmp_path / "run")])
+        assert re.search(match, _cli_error(capsys, [
+            "run", "--method", "COT", *args, "--out", str(tmp_path / "run")]))
     assert trained == []
     assert not os.path.exists(tmp_path / "run")
 

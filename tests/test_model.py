@@ -41,6 +41,17 @@ def test_score_batch_matches_manual():
     assert np.allclose(score_batch(m, Z), expect)
 
 
+def test_score_batch_scores_a_stack_as_its_rows(rng):
+    m = LogisticModel(rng.normal(size=4))
+    Z = rng.normal(size=(3, 6, 4))
+    s = score_batch(m, Z)
+    assert s.shape == (3, 6)
+    for g in range(3):
+        assert np.array_equal(s[g], score_batch(m, Z[g]))
+    with pytest.raises(ValueError, match="input width 5"):
+        score_batch(m, np.zeros((3, 6, 5)))
+
+
 def test_score_batch_rejects_wrong_width():
     m = LogisticModel(np.zeros(3))
     with pytest.raises(ValueError):
