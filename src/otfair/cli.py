@@ -99,31 +99,34 @@ def main(argv=None):
 
     try:
         cfg = _apply_overrides(load_config(args.config), args)
+        sizes = getattr(args, "sizes", "").replace(",", " ").split()
+        sizes = [int(s) for s in sizes]
+        for size in sizes:  # each sweep cell's config, checked before any fit
+            replace(cfg.ot, batch_scores=size, batch_target=size)
     except ValueError as err:
         parser.error(str(err))
 
-    if args.command in ("run", "drift"):
-        if args.command == "run":
+    try:  # a missing dataset file fails in load_dataset, before train_lr
+        if args.command == "sweep-batch":
+            rows = run_batch_sweep(cfg, sizes)
+        elif args.command == "run":
             rows, summary, model, pairs = run_experiment(cfg, return_state=True)
-            name = cfg.method.lower()
         else:
             rows, summary, model, pairs = run_drift(cfg)
-            name = "drift"
-        out = persist_run(cfg.out_dir(name), cfg, rows, summary, model, pairs)
-        print(json.dumps(summary))
-        print(out)
-        return 0
+    except FileNotFoundError as err:
+        parser.error(f"dataset file {err.filename!r} not found")
 
     if args.command == "sweep-batch":
-        sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
-        rows = run_batch_sweep(cfg, sizes)
         out = cfg.out_dir("sweep")
         os.makedirs(out, exist_ok=True)
         write_rows(os.path.join(out, "sweep.csv"), rows)
         print(os.path.join(out, "sweep.csv"))
         return 0
-
-    return 1
+    name = cfg.method.lower() if args.command == "run" else "drift"
+    out = persist_run(cfg.out_dir(name), cfg, rows, summary, model, pairs)
+    print(json.dumps(summary))
+    print(out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@ random-Fourier-feature potentials, and the alternating post-training loop
 that drives per-group score distributions toward a target distribution."""
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metrics import evaluate
 from .model import LogisticModel, score_batch
-from .rff import (DualPotential, RffMap, eval_features, grad_potential_input,
+from .rff import (DualPotential, RffMap, _contract, _grad_rows, eval_features,
                   make_rff)
 
 EXP_CLIP = 30.0  # ceiling on the exp argument in the entropy conjugate
@@ -22,6 +24,26 @@ COT_EPS_THETA = 2e-3  # default parameter step when OtConfig.eps_theta is None
 # Within it, cot_run gathers each target batch's features from the table;
 # above it, it evaluates them per update.
 TARGET_TABLE_BYTES = 32 << 20
+
+# Smallest score-batch stack (G * b * D argument entries) whose sin rows
+# group_step computes on a worker thread, given a second CPU.
+WORKER_MIN_ENTRIES = 1 << 14
+
+_pool = []  # the one-thread executor, made on first use
+if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def _offload_grad_rows(m, s):
+    """A future of _grad_rows(m, s) on the worker thread, or None below
+    WORKER_MIN_ENTRIES entries or if this process may use only one CPU."""
+    if s.size * m.num_features < WORKER_MIN_ENTRIES or (
+            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) < 2:
+        return None
+    if not _pool:
+        _pool.append(ThreadPoolExecutor(max_workers=1))
+    return _pool[0].submit(_grad_rows, m, s)
 
 
 class DivergenceError(RuntimeError):
@@ -189,10 +211,11 @@ def _objective(reg, lx, ly, pot, cost, pair_mode, a=None):
     return lx.mean(axis=-1) + ly.mean(axis=-1) - penalty.mean(axis=paired)
 
 
-def _theta_term(pair, Z, s, a, diff, pair_mode):
+def _theta_term(pair, Z, s, a, diff, pair_mode, rows):
     """Each group's term Z.T @ (w s (1 - s)) of the parameter gradient, for
-    pairing weights a = alpha(reg, pot, cost) on the pair's potentials."""
-    dlam = grad_potential_input(pair.score_side, s)
+    pairing weights a = alpha(reg, pot, cost) on the pair's potentials and
+    rows = _grad_rows(map, s), which the pair's coefficients contract."""
+    dlam = _contract(pair.score_side, rows)
     sign = np.sign(diff)  # sign(0) = 0 by convention
     if pair_mode == "diagonal":
         w = (1.0 - a) * dlam + a * sign
@@ -227,11 +250,17 @@ def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode,
     the pair, then evaluates on the new potentials the dual objective and
     the gradient term: the arithmetic of dual_update, then dual_objective on
     the new pair. Returns (new pair, objective, term); for a stack, (G,) and
-    (G, d).
+    (G, d). The term's sin rows need only s and the map, so a worker thread
+    may compute them while this one ascends (_offload_grad_rows).
     """
+    job = _offload_grad_rows(pair.score_side.map, s)
     pair, obj, a, diff = _ascend_and_evaluate(
         pair, reg, s, sbar, eps_dual, antisymmetric, pair_mode, fy)
-    return pair, obj, _theta_term(pair, Z, s, a, diff, pair_mode)
+    # Never wait on the worker: drop a job it has not started, and compute
+    # the rows here if it has not finished.
+    done = job is not None and not job.cancel() and job.done()
+    rows = job.result() if done else _grad_rows(pair.score_side.map, s)
+    return pair, obj, _theta_term(pair, Z, s, a, diff, pair_mode, rows)
 
 
 def dual_objective(pair, reg, xs, ys, pair_mode="full"):

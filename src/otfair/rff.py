@@ -83,10 +83,18 @@ def eval_potential(p, x):
     return eval_features(p.map, x) @ p.coeffs
 
 
+def _grad_rows(m, x):
+    """Rows -sqrt(2/D) sin(omega x + b); numpy only, so any thread may run it."""
+    return -np.sqrt(2.0 / m.num_features) * np.sin(_argument(m, x))
+
+
+def _contract(p, rows):
+    """The input gradient sum_i c_i omega_i rows_i from _grad_rows(p.map, x)."""
+    return (rows @ (p.coeffs * p.map.omegas)[..., None])[..., 0]
+
+
 def grad_potential_input(p, x):
     """d/dx of eval_potential: -sqrt(2/D) sum_i c_i omega_i sin(omega_i x + b_i)."""
     x = np.asarray(x, dtype=float)
-    m = p.map
-    rows = -np.sqrt(2.0 / m.num_features) * np.sin(_argument(m, x))
-    out = (rows @ (p.coeffs * m.omegas)[..., None])[..., 0]
+    out = _contract(p, _grad_rows(p.map, x))
     return float(out) if x.ndim == 0 else out

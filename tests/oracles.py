@@ -8,6 +8,7 @@ import numpy as np
 from otfair.cot import _as_batches, _features, _potentials, _theta_term, alpha
 from otfair.data import Dataset, RowError, Schema, SchemaError
 from otfair.model import score_batch
+from otfair.rff import _grad_rows
 
 
 def survival_gap_integral(a, b):
@@ -255,7 +256,7 @@ def theta_gradient(model, pairs, batches, target_scores, reg, pair_mode):
         fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode)
         pot = _potentials(pair, fx, fy, pair_mode)[2]
         grad += _theta_term(pair, Z, s, alpha(reg, pot, np.abs(diff)), diff,
-                            pair_mode)
+                            pair_mode, _grad_rows(pair.score_side.map, s))
     return grad
 
 

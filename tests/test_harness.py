@@ -279,6 +279,36 @@ def test_cli_reports_an_out_of_range_value_as_a_usage_error(
     assert not os.path.exists(tmp_path / "run")
 
 
+@pytest.mark.parametrize("command", ["run", "drift", "sweep-batch"])
+def test_cli_reports_a_missing_dataset_as_a_usage_error(tmp_path, spy_on,
+                                                        capsys, command):
+    missing = str(tmp_path / "missing.csv")
+    p = tmp_path / "missing.ini"
+    p.write_text(_config_text(missing) + SCHEDULE_TEXT)
+    trained = spy_on("train_lr")
+    msg = _cli_error(capsys, [command, "--config", str(p),
+                              "--out", str(tmp_path / "run")])
+    assert msg == f"dataset file {missing!r} not found"
+    assert trained == []
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ("8,x", "invalid literal for int() with base 10: 'x'"),
+    ("0", "batch sizes must be >= 1"),
+    ("8 -2", "batch sizes must be >= 1"),
+])
+def test_cli_reports_bad_sweep_sizes_as_a_usage_error(config_path, tmp_path,
+                                                      spy_on, capsys, sizes,
+                                                      message):
+    trained = spy_on("train_lr")
+    msg = _cli_error(capsys, ["sweep-batch", "--config", config_path,
+                              "--sizes", sizes, "--out", str(tmp_path / "run")])
+    assert msg == message
+    assert trained == []
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_cli_export_duals(config_path, tmp_path):
     out = str(tmp_path / "cot_run")
     cli.main(["run", "--config", config_path, "--method", "COT",
