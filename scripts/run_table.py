@@ -15,16 +15,16 @@ from otfair import cli, harness
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    cli._add_common(ap)
+    cli.add_config_options(ap)
     args = ap.parse_args()
-    cfg = cli._apply_overrides(harness.load_config(args.config), args)
+    cfg = cli.config_from_args(args)
 
     print(f"{'method':6s} {'Err-.5':>8s} {'Wass1':>8s} {'SDD':>8s} {'SPDD':>8s}")
-    setup = harness._setup(cfg)  # one load, split, LR model and target
+    start = harness.setup(cfg)  # one load, split, LR model and target
     rows = []
     for method in ("LR", "COT", "DOT", "DPP"):
-        _, row, _, _ = harness._fit_and_evaluate(replace(cfg, method=method),
-                                                 *setup)
+        _, row, _, _ = harness.fit_and_evaluate(replace(cfg, method=method),
+                                                *start)
         print(f"{method:6s} {row['err05']:8.3f} {row['wass1']:8.3f} "
               f"{row['sdd']:8.3f} {row['spdd']:8.3f}")
         rows.append({f: row[f] for f in ("method", "err05", "wass1", "sdd",

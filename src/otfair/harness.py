@@ -23,6 +23,7 @@ METHODS = ("LR", "COT", "DOT", "DPP")
 OUT_ROOT_ENV = "OTFAIR_OUT"
 
 DESK_ROWS = 10_000  # rows kept by desk_scale, drawn with split_seed
+DESK_UPDATES = 20_000  # desk_scale's cap on the updates
 
 
 @dataclass
@@ -75,19 +76,25 @@ def write_rows(path, rows):
         writer.writerows(rows)
 
 
-def _flag(key, value):
-    """configparser's boolean words; anything else is an error naming key."""
+def _parse(key, parse, value):
+    """parse(value); a ValueError names the key and the value."""
+    try:
+        return parse(value)
+    except ValueError as err:
+        raise ValueError(f"{key} = {value!r}: {err}") from None
+
+
+def _flag(value):
+    """configparser's boolean words; anything else is a ValueError."""
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
     except KeyError:
-        raise ValueError(f"{key} must be one of 1/yes/true/on or "
-                         f"0/no/false/off, got {value!r}") from None
+        raise ValueError("not one of 1/yes/true/on or 0/no/false/off") from None
 
 
 # [experiment] key -> (config field, parser). A dotted field is on the nested
-# config: "ot.D" on OtConfig, "ot.reg.kind" on its Regularizer. The parser
-# bool stands for configparser's boolean words (_flag). An absent key keeps
-# the dataclass default.
+# config: "ot.D" on OtConfig, "ot.reg.kind" on its Regularizer. An absent key
+# keeps the dataclass default.
 EXPERIMENT_KEYS = {
     "dataset": ("dataset", str),
     "delimiter": ("delimiter", lambda v: v or None),  # empty: detect it
@@ -96,9 +103,9 @@ EXPERIMENT_KEYS = {
     "split_seed": ("split_seed", int),
     "test_frac": ("test_frac", float),
     "lr_l2": ("lr_l2", float),
-    "include_sensitive": ("include_sensitive", bool),
+    "include_sensitive": ("include_sensitive", _flag),
     "trace_every": ("trace_every", int),
-    "desk_scale": ("desk_scale", bool),
+    "desk_scale": ("desk_scale", _flag),
     "out": ("out", str),
     "reg": ("ot.reg.kind", str),
     "reg_strength": ("ot.reg.strength", float),
@@ -109,20 +116,22 @@ EXPERIMENT_KEYS = {
     "updates": ("ot.num_updates", int),
     "batch_scores": ("ot.batch_scores", int),
     "batch_target": ("ot.batch_target", int),
-    "antisymmetric": ("ot.antisymmetric", bool),
+    "antisymmetric": ("ot.antisymmetric", _flag),
     "pair_mode": ("ot.pair_mode", str),
     "seed": ("ot.seed", int),
 }
 
 
-def load_config(path):
-    """Parse an INI experiment file into an ExperimentConfig. The keys,
-    their defaults and the loading rules: README, "Experiment files"."""
+def load_config(path, overrides=None):
+    """Parse an INI experiment file into an ExperimentConfig, with the
+    [experiment] keys in `overrides` (key -> text) replacing the file's
+    values. Keys, defaults and rules: README, "Experiment files"."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # schema column names are case-sensitive
     with open(path) as fh:
         parser.read_file(fh)
     exp = dict(parser["experiment"]) if parser.has_section("experiment") else {}
+    exp.update(overrides or {})
     unknown = [k for k in exp if k not in EXPERIMENT_KEYS]
     if unknown:
         raise ValueError(f"unknown key(s) in [experiment]: {', '.join(unknown)}")
@@ -130,18 +139,21 @@ def load_config(path):
     for key, value in exp.items():
         name, parse = EXPERIMENT_KEYS[key]
         scope, _, attr = name.rpartition(".")
-        fields[scope][attr] = _flag(key, value) if parse is bool else parse(value)
+        fields[scope][attr] = _parse(key, parse, value)
     if parser.has_section("schema"):
         fields[""]["schema"] = dict(parser["schema"])
     ot = OtConfig(**fields["ot"])
     if fields["ot.reg"]:
         ot = replace(ot, reg=replace(ot.reg, **fields["ot.reg"]))
+    if fields[""].get("desk_scale"):
+        ot = replace(ot, num_updates=min(ot.num_updates, DESK_UPDATES))
     cfg = ExperimentConfig(ot=ot, **fields[""])
     if parser.has_section("schedule"):
         sched = dict(parser["schedule"])
         cfg.schedule_group = sched.pop("group", "")
-        rates = [float(r) for r in sched.pop("rates", "").replace(",", " ").split()]
-        duration = int(sched.pop("duration", 5000))
+        rates = [_parse("rates", float, r)
+                 for r in sched.pop("rates", "").replace(",", " ").split()]
+        duration = _parse("duration", int, sched.pop("duration", "5000"))
         if sched:
             raise ValueError(f"unknown key(s) in [schedule]: {', '.join(sched)}")
         cfg.schedule = UnfairnessSchedule([({}, duration) for _ in rates])
@@ -214,7 +226,7 @@ def _resolve_schedule(cfg, ds):
     return UnfairnessSchedule(phases)
 
 
-def _setup(cfg):
+def setup(cfg):
     """(train, test, LR model, target): the start of every run and drift.
     Group selectors are checked on the split before training: fail fast."""
     train, test = _load_and_split(cfg)
@@ -237,7 +249,7 @@ def _fit_ot(cfg, model, data, target, ot):
     return final, rows, None
 
 
-def _fit_and_evaluate(cfg, train, test, model, target):
+def fit_and_evaluate(cfg, train, test, model, target):
     """Dispatch cfg.method from a set-up and evaluate on test: (trace rows,
     metrics row, final model, dual pairs), with pairs only for COT."""
     final, rows, pairs = model, [], None
@@ -263,7 +275,7 @@ def run_experiment(cfg, return_state=False):
     Returns (trace rows, metrics row). With return_state=True also returns
     the final model and dual pairs (pairs only for COT).
     """
-    result = _fit_and_evaluate(cfg, *_setup(cfg))
+    result = fit_and_evaluate(cfg, *setup(cfg))
     return result if return_state else result[:2]
 
 
@@ -288,17 +300,17 @@ def persist_run(out_dir, cfg, rows, summary, model=None, pairs=None):
 
 def run_batch_sweep(cfg, batch_sizes):
     """Final Wass1/Err-.5 of COT and DOT per batch size, all fitted from one
-    set-up (load, split, LR model, target)."""
-    setup = _setup(cfg)
+    set-up (load, split, LR model, target), with every cell checked first."""
+    cells = [replace(cfg, method=method,
+                     ot=replace(cfg.ot, batch_scores=size, batch_target=size))
+             for size in batch_sizes for method in ("COT", "DOT")]
+    start = setup(cfg)
     rows = []
-    for size in batch_sizes:
-        for method in ("COT", "DOT"):
-            c = replace(cfg, method=method,
-                        ot=replace(cfg.ot, batch_scores=size, batch_target=size))
-            _, metrics_row, _, _ = _fit_and_evaluate(c, *setup)
-            rows.append({"method": method, "batch_size": size,
-                         "wass1": metrics_row["wass1"],
-                         "err05": metrics_row["err05"]})
+    for c in cells:
+        _, metrics_row, _, _ = fit_and_evaluate(c, *start)
+        rows.append({"method": c.method, "batch_size": c.ot.batch_scores,
+                     "wass1": metrics_row["wass1"],
+                     "err05": metrics_row["err05"]})
     return rows
 
 
@@ -342,7 +354,7 @@ def run_drift(cfg):
         raise ValueError("drift run requires a schedule")
     if cfg.method not in ("COT", "DOT"):
         raise ValueError("drift runs support COT and DOT only")
-    train, test, model, target = _setup(cfg)
+    train, test, model, target = setup(cfg)
     schedule = _resolve_schedule(cfg, train)
 
     train_seeds = np.random.SeedSequence(cfg.ot.seed).spawn(len(schedule.phases))

@@ -1,4 +1,5 @@
 """Experiment harness: configs, runs, persistence, CLI, checkpoints."""
+import argparse
 import csv
 import functools
 import json
@@ -186,7 +187,7 @@ def test_run_drift_requires_schedule(config_path):
         run_drift(cfg)
 
 
-def test_run_drift_rejects_method_before_setup(tmp_path):
+def test_run_drift_rejects_method_before_setup(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     cfg = ExperimentConfig(dataset=missing, schema=synthetic.SCHEMA,
                            method="DPP", schedule=UnfairnessSchedule([({}, 10)]))
@@ -194,8 +195,9 @@ def test_run_drift_rejects_method_before_setup(tmp_path):
         run_drift(cfg)
     p = tmp_path / "dpp.ini"  # the INI's method applies when --method is absent
     p.write_text(_config_text(missing, "method = DPP") + SCHEDULE_TEXT)
-    with pytest.raises(ValueError, match="COT and DOT only"):
-        cli.main(["drift", "--config", str(p), "--out", str(tmp_path / "run")])
+    assert _cli_error(capsys, ["drift", "--config", str(p), "--out",
+                               str(tmp_path / "run")]) \
+        == "drift runs support COT and DOT only"
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -288,7 +290,7 @@ def test_cli_reports_a_missing_dataset_as_a_usage_error(tmp_path, spy_on,
     trained = spy_on("train_lr")
     msg = _cli_error(capsys, [command, "--config", str(p),
                               "--out", str(tmp_path / "run")])
-    assert msg == f"dataset file {missing!r} not found"
+    assert msg == f"[Errno 2] No such file or directory: {missing!r}"
     assert trained == []
     assert not os.path.exists(tmp_path / "run")
 
@@ -307,6 +309,118 @@ def test_cli_reports_bad_sweep_sizes_as_a_usage_error(config_path, tmp_path,
     assert msg == message
     assert trained == []
     assert not os.path.exists(tmp_path / "run")
+
+
+BAD_INPUTS = ["missing-config", "no-section-header", "unknown-target-level",
+              "drift-method-DPP", "drift-without-schedule", "non-numeric-cell",
+              "updates-abc", "missing-checkpoint", "table-without-metrics"]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_cli_reports_bad_input_as_one_usage_error_line(case, small_csv,
+                                                        config_path, tmp_path,
+                                                        spy_on, capsys):
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    with open(small_csv) as fh:
+        lines = fh.read().splitlines()
+    lines[3] = "abc" + lines[3][lines[3].index(","):]  # data row 2's age
+    bad_data = write("bad.csv", "\n".join(lines) + "\n")
+    argv, pattern = {
+        "missing-config": (
+            ["run", "--config", str(tmp_path / "missing.ini")],
+            r"\[Errno 2\] No such file or directory: '.*missing\.ini'$"),
+        "no-section-header": (
+            ["run", "--config", write("flat.ini", f"dataset = {small_csv}\n")],
+            r"File contains no section headers\. file: '.*flat\.ini', line: 1 "),
+        "unknown-target-level": (
+            ["run", "--config", write("martian.ini", _config_text(
+                small_csv, "target = group:race=Martian"))],
+            r"unknown level 'Martian' for column 'race'$"),
+        "drift-method-DPP": (
+            ["drift", "--config", write("dpp.ini", _config_text(
+                small_csv, "method = DPP") + SCHEDULE_TEXT)],
+            r"drift runs support COT and DOT only$"),
+        "drift-without-schedule": (
+            ["drift", "--config", config_path],
+            r"drift run requires a schedule$"),
+        "non-numeric-cell": (
+            ["run", "--config", write("cell.ini", _config_text(bad_data))],
+            r"row 2: cannot parse 'abc' in column 'age'$"),
+        "updates-abc": (
+            ["run", "--config", write("abc.ini", _config_text(small_csv).replace(
+                "updates = 40", "updates = abc"))],
+            r"updates = 'abc': invalid literal for int\(\) with base 10: 'abc'$"),
+        "missing-checkpoint": (
+            ["export-duals", "--checkpoint",
+             str(tmp_path / "cot" / "checkpoint.json")],
+            r"\[Errno 2\] No such file or directory: '.*checkpoint\.json'$"),
+        "table-without-metrics": (
+            ["table", str(tmp_path)], r"no metrics\.json in any of "),
+    }[case]
+    trained = spy_on("train_lr")
+    msg = _cli_error(capsys, argv + ["--out", str(tmp_path / "run")])
+    assert re.match(pattern, msg), msg
+    assert trained == []
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_options_write_what_the_keys_they_set_write(small_csv, tmp_path,
+                                                    monkeypatch):
+    # The file's seed and sizes are overridden; the second file sets the
+    # keys each option maps to, and both runs write the same bytes.
+    base = tmp_path / "base.ini"
+    base.write_text(_config_text(small_csv, "seed = 5\nsplit_seed = 3")
+                    .replace("= 8\n", "= 16\n"))
+    keyed = tmp_path / "keyed.ini"
+    keyed.write_text(_config_text(small_csv, "seed = 0\nsplit_seed = 0")
+                     .replace("updates = 40", "updates = 20")
+                     .replace("trace_every = 20", "trace_every = 10"))
+    runs = {"options": ["--config", str(base), "--seed", "0", "--batch-size",
+                        "8", "--updates", "20", "--trace-every", "10"],
+            "keys": ["--config", str(keyed)]}
+    for name, args in runs.items():
+        monkeypatch.setenv(harness.OUT_ROOT_ENV, str(tmp_path / name))
+        assert cli.main(["run", "--method", "COT", *args]) == 0
+    for artifact in ("manifest.json", "trace.csv"):
+        with open(tmp_path / "options" / "cot" / artifact, "rb") as a, \
+                open(tmp_path / "keys" / "cot" / artifact, "rb") as b:
+            assert a.read() == b.read(), artifact
+
+
+@pytest.mark.parametrize("updates,capped", [(None, 20_000), ("30000", 20_000),
+                                            ("30", 30)])
+def test_desk_scale_caps_the_updates_from_the_file_and_the_option(
+        small_csv, tmp_path, updates, capped):
+    text = _config_text(small_csv).replace(
+        "updates = 40\n", "" if updates is None else f"updates = {updates}\n")
+    plain = tmp_path / "plain.ini"
+    plain.write_text(text)
+    desk = tmp_path / "desk.ini"
+    desk.write_text(text.replace("[schema]", "desk_scale = yes\n\n[schema]"))
+    assert load_config(str(plain)).ot.num_updates == int(updates or 100_000)
+    assert load_config(str(desk)).ot.num_updates == capped
+    ap = argparse.ArgumentParser()
+    cli.add_config_options(ap)
+    for argv in (["--config", str(plain), "--desk-scale"],
+                 ["--config", str(desk)]):
+        cfg = cli.config_from_args(ap.parse_args(argv))
+        assert (cfg.desk_scale, cfg.ot.num_updates) == (True, capped)
+    cfg = cli.config_from_args(ap.parse_args(
+        ["--config", str(plain), "--updates", "50000", "--desk-scale"]))
+    assert cfg.ot.num_updates == harness.DESK_UPDATES
+
+
+def test_readme_option_table_is_the_cli_option_keys():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        cells = [line.split("|")[1:3] for line in fh
+                 if re.match(r"\| --\w", line)]
+    table = {opt.strip(): [k.strip().strip("`") for k in keys.split(",")]
+             for opt, keys in cells}
+    assert table == {"--" + dest.replace("_", "-"): list(keys)
+                     for dest, keys in cli.OPTION_KEYS.items()}
 
 
 def test_cli_export_duals(config_path, tmp_path):
@@ -409,7 +523,7 @@ def test_load_config_reads_boolean_words(small_csv, tmp_path, word, value):
 def test_load_config_rejects_non_boolean_words(small_csv, tmp_path, key):
     p = tmp_path / "flags.ini"
     p.write_text(_config_text(small_csv, f"{key} = maybe"))
-    with pytest.raises(ValueError, match=rf"{key} must be .*'maybe'"):
+    with pytest.raises(ValueError, match=rf"^{key} = 'maybe': not one of "):
         load_config(str(p))
 
 
@@ -598,7 +712,7 @@ def test_readme_key_table_is_the_loaded_keys_and_their_defaults():
         default = functools.reduce(getattr, name.split("."), ExperimentConfig())
         if cell.startswith("`"):
             literal = cell.strip("`")
-            value = harness._flag(key, literal) if parse is bool else parse(literal)
+            value = parse(literal)
         else:
             value = unquoted[cell]
         assert value == default, key
