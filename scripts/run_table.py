@@ -17,8 +17,15 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     cli.add_config_options(ap)
     args = ap.parse_args()
-    cfg = cli.config_from_args(args)
+    try:  # bad input is one error line, as in the otfair command
+        table(args)
+    except cli.INPUT_ERRORS as err:
+        ap.error(" ".join(str(err).split()))
 
+
+def table(args):
+    """Print (and with --out, write) the table for the parsed options."""
+    cfg = cli.config_from_args(args)
     print(f"{'method':6s} {'Err-.5':>8s} {'Wass1':>8s} {'SDD':>8s} {'SPDD':>8s}")
     start = harness.setup(cfg)  # one load, split, LR model and target
     rows = []

@@ -19,6 +19,7 @@ OPTION_KEYS = {"seed": ("seed", "split_seed"),
                "updates": ("updates",), "trace_every": ("trace_every",),
                "method": ("method",), "out": ("out",),
                "desk_scale": ("desk_scale",)}
+INPUT_ERRORS = (ValueError, OSError, configparser.Error)  # reported as one line
 
 
 def add_config_options(p):
@@ -107,7 +108,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:  # every otfair input error is a ValueError; others propagate
         _run(args)
-    except (ValueError, OSError, configparser.Error) as err:
+    except INPUT_ERRORS as err:
         parser.error(" ".join(str(err).split()))
     return 0
 

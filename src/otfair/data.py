@@ -2,14 +2,21 @@
 from __future__ import annotations
 
 import csv
-import io
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
+import re
+import sys
+from collections import deque
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 GroupKey = tuple  # tuple of int codes, one per sensitive column
+
+# Data rows parsed at a time: only one block's cells exist as Python strings.
+BLOCK_ROWS = 1024
+_LINE = re.compile("[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")  # as str.splitlines cuts
+_NL_LINE = re.compile("[^\n]*\n|[^\n]+")  # as io.StringIO(text) cuts
 
 
 class SchemaError(ValueError):
@@ -229,7 +236,8 @@ def load_dataset(path, schema, delimiter=None):
 
     Numeric features are standardized to zero mean / unit variance on the
     loaded split; categorical features are one-hot encoded (then left as 0/1
-    columns). Rows with missing cells ('' or '?') are dropped.
+    columns). Rows with missing cells ('' or '?') are dropped. The text is
+    parsed BLOCK_ROWS rows at a time.
     """
     if isinstance(schema, dict):
         schema = Schema.from_dict(schema)
@@ -238,69 +246,90 @@ def load_dataset(path, schema, delimiter=None):
     if not text.strip():
         raise ValueError(f"empty input file: {path}")
     if delimiter is None:
-        first = next(line for line in text.splitlines() if line.strip())
+        first = next(filter(str.strip, map(re.Match.group, _LINE.finditer(text))))
         delimiter = "," if "," in first else None  # None -> whitespace split
-    if delimiter is None:
-        rows = [line.split() for line in text.splitlines() if line.strip()]
-    else:
-        rows = [r for r in csv.reader(io.StringIO(text), delimiter=delimiter)
-                if any(map(str.strip, r))]
-    header = [h.strip() for h in rows[0]]
+    whitespace = delimiter is None
+    lines = map(re.Match.group, (_LINE if whitespace else _NL_LINE).finditer(text))
+    rows = map(str.split, lines) if whitespace else csv.reader(lines, delimiter=delimiter)
+    rows = (r for r in rows if any(map(str.strip, r)))
+    header = [h.strip() for h in next(rows, [])]
     for spec in schema.columns:
         if spec.name not in header:
+            deque(rows, maxlen=0)  # the reader's own errors outrank this one
             raise SchemaError(f"column {spec.name!r} missing from header {header}")
-    for i, raw in enumerate(rows[1:]):
-        if len(raw) != len(header):
-            raise RowError(i, f"expected {len(header)} cells, got {len(raw)}")
-    cells = {s.name: list(map(str.strip, map(itemgetter(header.index(s.name)),
-                                             rows[1:])))
-             for s in schema.columns}
-
-    # Row-drop is the only missing-value handling.
-    keep = np.ones(len(rows) - 1, dtype=bool)
-    for vals in cells.values():
-        if "" in vals or "?" in vals:
-            keep[[k for k, v in enumerate(vals) if v in ("", "?")]] = False
-    kept = np.flatnonzero(keep)
-    if not kept.size:
+    index = {spec: header.index(spec.name) for spec in schema.columns}
+    # numeric[spec]: whether it is 'auto'. Per block its cells become a float array.
+    numeric = {s: s.encoding == "auto" for s in schema.columns if (s.role, s.encoding)
+               in {("feature", "auto"), ("feature", "numeric"), ("sensitive", "median")}}
+    cells = {spec: [] for spec in schema.columns}
+    errors = {}  # first RowError per numeric column, raised in load order below
+    start = 0
+    while block := list(islice(rows, BLOCK_ROWS)):
+        for k, raw in enumerate(block):
+            if len(raw) != len(header):  # outranks every bad cell
+                deque(rows, maxlen=0)
+                raise RowError(start + k, f"expected {len(header)} cells, got {len(raw)}")
+        block_cells = {spec: [raw[j].strip() for raw in block]
+                       for spec, j in index.items()}
+        # Row-drop is the only missing-value handling.
+        keep = np.ones(len(block), dtype=bool)
+        for vals in block_cells.values():
+            if "" in vals or "?" in vals:
+                keep[[k for k, v in enumerate(vals) if v in ("", "?")]] = False
+        kept = np.flatnonzero(keep)
+        for spec, vals in block_cells.items():
+            if kept.size < keep.size:
+                vals = [vals[k] for k in kept.tolist()]
+            if spec not in numeric:
+                cells[spec].extend(map(sys.intern, vals))
+                continue
+            try:
+                col = _numeric_column(vals, spec.name, kept + start, numeric[spec])
+            except RowError as err:
+                errors.setdefault(spec, err)
+                continue
+            if col is None:  # rare: an 'auto' column holds a non-number
+                return load_dataset(path, Schema([
+                    replace(s, encoding="categorical") if s == spec else s
+                    for s in schema.columns]), delimiter)
+            cells[spec].append(col)
+        start += len(block)
+    del text, lines, rows
+    if not cells[schema.label_column]:
         raise ValueError(f"no usable data rows in {path}")
-    if kept.size < keep.size:
-        cells = {name: [vals[k] for k in kept.tolist()]
-                 for name, vals in cells.items()}
 
     feature_blocks, feature_names = [], []
     for spec in schema.feature_columns:
-        vals = cells[spec.name]
-        enc = spec.encoding
-        if enc in ("auto", "numeric"):
-            col = _numeric_column(vals, spec.name, kept, auto=enc == "auto")
-            enc = "numeric" if col is not None else "categorical"
-        if enc == "numeric":
-            feature_blocks.append(_standardize(col)[:, None])
+        if spec in errors:
+            raise errors[spec]
+        if spec in numeric:
+            feature_blocks.append(_standardize(np.concatenate(cells[spec]))[:, None])
             feature_names.append(spec.name)
-        elif enc == "categorical":
-            levels, codes = _levels(vals)
+        elif spec.encoding == "categorical":
+            levels, codes = _levels(cells[spec])
             feature_blocks.append(
                 (codes[:, None] == np.arange(1, len(levels))).astype(float))
             feature_names.extend(f"{spec.name}={lv}" for lv in levels[1:])
         else:
-            raise SchemaError(f"unknown feature encoding {enc!r} for {spec.name!r}")
+            raise SchemaError(
+                f"unknown feature encoding {spec.encoding!r} for {spec.name!r}")
 
     sensitive_codes, sensitive_levels, sensitive_names = [], [], []
     for spec in schema.sensitive_columns:
-        vals = cells[spec.name]
-        if spec.encoding == "median":
-            col = _numeric_column(vals, spec.name, kept)
+        if spec in errors:
+            raise errors[spec]
+        if spec in numeric:
+            col = np.concatenate(cells[spec])
             med = float(np.median(col))
             codes = (col >= med).astype(int)
             levels = [f"<{med:g}", f">={med:g}"]
         else:
-            levels, codes = _levels(vals)
+            levels, codes = _levels(cells[spec])
         sensitive_codes.append(codes)
         sensitive_levels.append(levels)
         sensitive_names.append(spec.name)
 
-    label_levels, y = _levels(cells[schema.label_column.name])
+    label_levels, y = _levels(cells[schema.label_column])
     if len(label_levels) > 2:
         raise SchemaError(
             f"label column {schema.label_column.name!r} has {len(label_levels)} levels")
@@ -308,7 +337,8 @@ def load_dataset(path, schema, delimiter=None):
         y = np.array([int(lv) for lv in label_levels])[y]
 
     A = np.column_stack(sensitive_codes)
-    X = np.hstack(feature_blocks) if feature_blocks else np.empty((kept.size, 0))
+    X = np.hstack(feature_blocks) if feature_blocks else np.empty((y.size, 0))
+    del cells, feature_blocks  # before the Dataset's checks and groups
     return Dataset(A, X, y, feature_names, sensitive_names, sensitive_levels)
 
 

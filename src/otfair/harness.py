@@ -304,6 +304,8 @@ def run_batch_sweep(cfg, batch_sizes):
     cells = [replace(cfg, method=method,
                      ot=replace(cfg.ot, batch_scores=size, batch_target=size))
              for size in batch_sizes for method in ("COT", "DOT")]
+    if not cells:
+        raise ValueError("no batch sizes to sweep")
     start = setup(cfg)
     rows = []
     for c in cells:

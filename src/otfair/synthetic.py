@@ -31,10 +31,12 @@ POSITIVE_RATES = {
 }
 
 HEADER = list(SCHEMA)
+# Rows formatted at a time: only one block's cells exist as Python strings.
+BLOCK_ROWS = 1024
 
 
-def generate_rows(n, seed=0):
-    """Generate n records as tuples of strings matching HEADER."""
+def write_csv(path, n, seed=0):
+    """Write n seeded records under HEADER, BLOCK_ROWS rows at a time."""
     rng = np.random.default_rng(seed)
     races = rng.choice(["Black", "White"], size=n, p=[0.15, 0.85])
     genders = rng.choice(["female", "male"], size=n, p=[0.4, 0.6])
@@ -49,19 +51,14 @@ def generate_rows(n, seed=0):
     capital = y * rng.normal(2.25, 1.2, n) + rng.normal(0, 2.0, n)
     workclass = rng.choice(["private", "public", "self"], size=n,
                            p=[0.7, 0.2, 0.1])
-    columns = [[f"{v:.2f}" for v in age.tolist()],
-               [f"{v:.2f}" for v in edu.tolist()],
-               [f"{v:.2f}" for v in hours.tolist()],
-               [f"{v:.3f}" for v in capital.tolist()],
-               workclass.tolist(), races.tolist(), genders.tolist(),
-               np.where(y == 1, ">50K", "<=50K").tolist()]
-    return list(zip(*columns))
-
-
-def write_csv(path, n, seed=0):
-    rows = generate_rows(n, seed)
+    columns = [("{:.2f}", age), ("{:.2f}", edu), ("{:.2f}", hours), ("{:.3f}", capital),
+               ("{}", workclass), ("{}", races), ("{}", genders),
+               ("{}", np.where(y == 1, ">50K", "<=50K"))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
-        writer.writerows(rows)
+        for start in range(0, n, BLOCK_ROWS):
+            writer.writerows(zip(*(
+                map(fmt.format, col[start:start + BLOCK_ROWS].tolist())
+                for fmt, col in columns)))
     return path

@@ -1,5 +1,6 @@
 """Dataset ingestion, grouping, resampling, and splitting."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (design_matrix_hstack, groups_rowwise, load_dataset_rowwise,
                      positive_rate)
 
-from otfair import synthetic
+from otfair import data, synthetic
 from otfair.data import (Dataset, InfeasibleRateError, RowError, Schema,
                          SchemaError, UnfairnessSchedule, _build_groups,
                          load_dataset, resample_positive_rate, train_test_split)
@@ -362,6 +363,119 @@ def test_synthetic_file_bytes_are_pinned(tmp_path, seed, digest):
     path = tmp_path / "census.csv"
     synthetic.write_csv(path, 1000, seed=seed)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+BLOCK_SIZES = [1, 2, 3]  # rows per block, so later rows fall in later blocks
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+@settings(deadline=None, max_examples=200)
+@given(small_files())
+def test_load_matches_the_rowwise_loader_across_blocks(tmp_path_factory,
+                                                        block_rows, file):
+    text, schema = file
+    path = tmp_path_factory.getbasetemp() / f"loader-oracle-{block_rows}.csv"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "BLOCK_ROWS", block_rows)
+        assert (_loaded(load_dataset, str(path), schema)
+                == _loaded(load_dataset_rowwise, str(path), schema))
+
+
+# str.splitlines cuts at each of these; io.StringIO and csv only at '\n'
+# (csv also ends a record at '\r').
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_files(), st.lists(st.sampled_from(LINE_ENDS), min_size=8, max_size=8),
+       st.sampled_from(BLOCK_SIZES))
+def test_load_cuts_lines_as_the_rowwise_loader(tmp_path_factory, file, ends,
+                                               block_rows):
+    text, schema = file
+    lines = text.split("\n")
+    text = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+    path = tmp_path_factory.getbasetemp() / "line-ends.csv"
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "BLOCK_ROWS", block_rows)
+        assert (_loaded(load_dataset, str(path), schema)
+                == _loaded(load_dataset_rowwise, str(path), schema))
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+def test_load_matches_the_rowwise_loader_on_the_census_across_blocks(
+        census_path, monkeypatch, block_rows):
+    monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+    assert (_loaded(load_dataset, census_path, synthetic.SCHEMA)
+            == _loaded(load_dataset_rowwise, census_path, synthetic.SCHEMA))
+
+
+NUMERIC = {"n": "feature:numeric", "s": "sensitive", "y": "label"}
+READER_ERROR = ("new-line character seen in unquoted field - do you need to open"
+                " the file in universal-newline mode?")
+LATE_BLOCK_FILES = {
+    # A cell-count error in a later block outranks an earlier bad cell.
+    "ragged-after-a-bad-cell": (
+        "n,s,y\nx,a,0\n1,b,1\n2,a\n", NUMERIC, "row 2: expected 3 cells, got 2"),
+    # Dropped rows in earlier blocks still count in a later bad cell's row.
+    "bad-cell-after-dropped-rows": (
+        "n,s,y\n?,a,0\n1,,1\n2,a,1\n1e999,b,0\n", NUMERIC,
+        "row 3: non-finite value '1e999' in column 'n'"),
+    # An 'auto' column is categorical, with its original strings, when any
+    # block holds a non-number; the earlier nan is then a level.
+    "late-non-number-in-an-auto-column": (
+        "n,s,y\nnan,a,0\n1_0,b,1\n 7 ,a,1\nx,b,0\n",
+        {"n": "feature", "s": "sensitive", "y": "label"}, ["n=7", "n=nan", "n=x"]),
+    # The reader's own error, wherever it is, outranks the loader's errors.
+    "reader-error-after-a-ragged-row": (
+        "n,s,y\n1,a\n2,b,1\n3\ry,a,1\n", NUMERIC, READER_ERROR),
+    "reader-error-after-a-missing-column": (
+        "q,s,y\n1,a,0\n2,b,1\n3\ry,a,1\n", NUMERIC, READER_ERROR),
+}
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_SIZES)
+@pytest.mark.parametrize("case", LATE_BLOCK_FILES)
+def test_load_meets_late_rows_in_later_blocks_as_the_rowwise_loader(
+        tmp_path, monkeypatch, case, block_rows):
+    text, schema, expected = LATE_BLOCK_FILES[case]
+    path = tmp_path / "late.csv"
+    path.write_bytes(text.encode())  # keeps a bare '\r' as it is
+    monkeypatch.setattr(data, "BLOCK_ROWS", block_rows)
+    got = _loaded(load_dataset, str(path), schema)
+    assert got == _loaded(load_dataset_rowwise, str(path), schema)
+    assert (got[1] if isinstance(got[0], type) else got[5]) == expected
+
+
+@pytest.mark.parametrize("n,seed,digest", [
+    (20_003, 2, "6ed034f59914ce11e0f986a97cea6747aabb5af6ae9d1998152cfd413550e698"),
+    (100_000, 1, "12f9257ff23bb055db3c1dd5f81b2da44f5b6a5ee501c501fc69dcd4e15d5ad2"),
+])
+def test_synthetic_file_bytes_are_pinned_across_blocks(tmp_path, n, seed, digest):
+    # Many writer blocks, the last one partial.
+    path = tmp_path / "census.csv"
+    synthetic.write_csv(path, n, seed=seed)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_census_write_and_load_each_stay_under_25_mb(tmp_path):
+    # Python objects per cell of the whole file cost 70-80 MB at 100k rows;
+    # by blocks of rows, writing or loading it peaks below 25 MB.
+    path = tmp_path / "census.csv"
+    tracemalloc.start()
+    try:
+        synthetic.write_csv(path, 100_000, seed=1)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ds = load_dataset(path, synthetic.SCHEMA)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 100_000
+    assert write_peak < 25e6, write_peak
+    assert load_peak < 25e6, load_peak
 
 
 @pytest.mark.parametrize("frac", [-0.1, 0.0, 1.0, 1.5])

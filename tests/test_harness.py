@@ -299,15 +299,16 @@ def test_cli_reports_a_missing_dataset_as_a_usage_error(tmp_path, spy_on,
     ("8,x", "invalid literal for int() with base 10: 'x'"),
     ("0", "batch sizes must be >= 1"),
     ("8 -2", "batch sizes must be >= 1"),
+    (",", "no batch sizes to sweep"),
 ])
 def test_cli_reports_bad_sweep_sizes_as_a_usage_error(config_path, tmp_path,
                                                       spy_on, capsys, sizes,
                                                       message):
-    trained = spy_on("train_lr")
+    loads, trained = spy_on("load_dataset"), spy_on("train_lr")
     msg = _cli_error(capsys, ["sweep-batch", "--config", config_path,
                               "--sizes", sizes, "--out", str(tmp_path / "run")])
     assert msg == message
-    assert trained == []
+    assert loads == trained == []
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -623,6 +624,31 @@ def test_run_table_writes_the_printed_rows_as_csv(tmp_path, monkeypatch,
     assert rows[0] == ["method", "err05", "wass1", "sdd", "spdd"]
     assert [[r[0]] + [f"{float(v):.3f}" for v in r[1:]]
             for r in rows[1:]] == printed
+
+
+@pytest.mark.parametrize("case", ["missing-config", "no-section-header",
+                                  "updates-abc"])
+def test_run_table_reports_bad_input_as_one_usage_error_line(
+        case, small_csv, tmp_path, monkeypatch, spy_on, capsys):
+    config = tmp_path / "exp.ini"
+    if case == "no-section-header":
+        config.write_text(f"dataset = {small_csv}\n")
+    elif case == "updates-abc":
+        config.write_text(_config_text(small_csv).replace("updates = 40",
+                                                          "updates = abc"))
+    trained = spy_on("train_lr")
+    monkeypatch.setattr(sys, "argv", [TABLE_SCRIPT, "--config", str(config)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(TABLE_SCRIPT, run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    lines = [ln for ln in err.splitlines() if ln.startswith("run_table.py: error: ")]
+    assert len(lines) == 1 and "Traceback" not in err, err
+    assert {"missing-config": "[Errno 2] No such file or directory",
+            "no-section-header": "File contains no section headers",
+            "updates-abc": "updates = 'abc': invalid literal"}[case] in lines[0]
+    assert trained == []
 
 
 def _shipped(name):
