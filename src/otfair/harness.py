@@ -53,6 +53,8 @@ class ExperimentConfig:
                              f"group:<col>=<value>, got {self.target!r}")
         if self.trace_every < 1:
             raise ValueError(f"trace_every must be >= 1, got {self.trace_every}")
+        if not 0.0 <= self.lr_l2 < np.inf:
+            raise ValueError(f"lr_l2 must be finite and >= 0, got {self.lr_l2}")
 
     def out_dir(self, default_name="run"):
         if self.out:

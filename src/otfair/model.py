@@ -5,7 +5,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 _CLIP = np.finfo(float).eps  # keeps scores strictly inside (0, 1)
 
@@ -72,11 +71,13 @@ def _nll_grad(theta, Z, y, l2, penalize):
 
 def train_lr(d, l2_strength=1.0, max_iters=500, tol=1e-8,
              include_sensitive=True):
-    """Fit L2-regularized logistic regression on a Dataset.
+    """Fit L2-regularized logistic regression by damped Newton from zero weights.
 
-    The intercept is unpenalized. Deterministic (starts from zero weights).
-    Non-convergence sets model.converged = False rather than failing.
+    The intercept is unpenalized. converged means ||grad||_inf <= max(tol, 1e-6)
+    at the returned weights; otherwise it is False rather than failing.
     """
+    if not 0.0 <= l2_strength < np.inf:
+        raise ValueError(f"lr_l2 must be finite and >= 0, got {l2_strength}")
     if d.n == 0:
         raise ValueError("dataset is empty")
     if len(np.unique(d.y)) < 2:
@@ -86,10 +87,22 @@ def train_lr(d, l2_strength=1.0, max_iters=500, tol=1e-8,
     y = d.y.astype(float)
     penalize = np.ones(Z.shape[1])
     penalize[-1] = 0.0  # intercept
-    res = minimize(
-        _nll, np.zeros(Z.shape[1]), args=(Z, y, l2_strength, penalize),
-        jac=_nll_grad, method="L-BFGS-B",
-        options={"maxiter": max_iters, "gtol": tol, "ftol": 0.0},
-    )
-    converged = bool(np.linalg.norm(res.jac, ord=np.inf) <= max(tol, 1e-6)) or res.success
-    return LogisticModel(res.x, names, converged=converged)
+    args = (Z, y, l2_strength, penalize)
+    theta = np.zeros(Z.shape[1])
+    loss, grad = _nll(theta, *args), _nll_grad(theta, *args)
+    for _ in range(max_iters):
+        if np.abs(grad).max() <= tol:
+            break
+        p = sigmoid(Z @ theta)
+        hess = (Z.T * (p * (1.0 - p))) @ Z + np.diag(l2_strength * penalize)
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]  # minimum norm if singular
+        t, slope = 1.0, grad @ step  # halve t until the Armijo condition holds
+        while ((new := _nll(theta + t * step, *args)) > loss + 1e-4 * t * slope
+               and t > 1e-10):
+            t *= 0.5
+        if not new < loss:
+            break
+        theta, loss = theta + t * step, new
+        grad = _nll_grad(theta, *args)
+    converged = bool(np.abs(grad).max() <= max(tol, 1e-6))
+    return LogisticModel(theta, names, converged=converged)

@@ -4,10 +4,11 @@ import io
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from otfair.cot import _as_batches, _features, _potentials, _theta_term, alpha
 from otfair.data import Dataset, RowError, Schema, SchemaError
-from otfair.model import score_batch
+from otfair.model import LogisticModel, _nll, _nll_grad, score_batch
 from otfair.rff import _grad_rows
 
 
@@ -212,6 +213,20 @@ def sigmoid_two_branch(z):
     out[~pos] = ez / (1.0 + ez)
     eps = np.finfo(float).eps
     return np.clip(out, eps, 1.0 - eps)
+
+
+def train_lr_lbfgsb(d, l2_strength=1.0):
+    """otfair.model.train_lr's objective (L2 penalty on every weight but the
+    intercept) minimized from zero weights by scipy's L-BFGS-B: an independent
+    minimizer of the same objective."""
+    Z = d.design_matrix()
+    y = d.y.astype(float)
+    penalize = np.ones(Z.shape[1])
+    penalize[-1] = 0.0  # intercept
+    res = minimize(_nll, np.zeros(Z.shape[1]), args=(Z, y, l2_strength, penalize),
+                   jac=_nll_grad, method="L-BFGS-B",
+                   options={"maxiter": 500, "gtol": 1e-8, "ftol": 0.0})
+    return LogisticModel(res.x, d.design_names())
 
 
 def design_matrix_hstack(d, indices=None, include_sensitive=True):

@@ -491,6 +491,22 @@ def test_bad_solver_settings_fail_before_training(small_csv, tmp_path,
     assert not os.path.exists(tmp_path / "run")
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_bad_lr_l2_fails_before_training(small_csv, tmp_path, spy_on, value,
+                                         capsys):
+    trained = spy_on("train_lr")
+    match = rf"^lr_l2 must be finite and >= 0, got {float(value)}$"
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(lr_l2=float(value))
+    p = tmp_path / "bad.ini"
+    p.write_text(_config_text(small_csv, f"lr_l2 = {value}"))
+    assert re.search(match, _cli_error(capsys, [
+        "run", "--config", str(p), "--method", "LR",
+        "--out", str(tmp_path / "run")]))
+    assert trained == []
+    assert not os.path.exists(tmp_path / "run")
+
+
 @pytest.mark.parametrize("section,text", [
     ("experiment", "udpates = 20"),
     ("schedule", "rate = 0.3"),

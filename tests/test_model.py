@@ -1,4 +1,8 @@
 """Logistic model: training oracle checks, scoring, persistence."""
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import approx_fprime
@@ -6,7 +10,7 @@ from scipy.optimize import approx_fprime
 from otfair.data import Dataset
 from otfair.model import (DegenerateLabelsError, LogisticModel, score_batch,
                           sigmoid, train_lr, _nll, _nll_grad)
-from oracles import sigmoid_two_branch
+from oracles import sigmoid_two_branch, train_lr_lbfgsb
 
 
 def _toy(n=400, seed=0):
@@ -16,6 +20,22 @@ def _toy(n=400, seed=0):
     logits = 1.5 * X[:, 0] - 1.0 * X[:, 1] + 0.5 * A[:, 0] - 0.2
     y = (rng.random(n) < sigmoid(logits)).astype(int)
     return Dataset(A, X, y, ["x0", "x1"], ["g"], [["a", "b"]])
+
+
+def _objective(ds, l2=1.0):
+    """The (Z, y, l2, penalize) arguments of _nll and _nll_grad for ds."""
+    Z = ds.design_matrix()
+    penalize = np.ones(Z.shape[1])
+    penalize[-1] = 0.0
+    return Z, ds.y.astype(float), l2, penalize
+
+
+@pytest.fixture(params=["toy", "census"])
+def lr_data(request):
+    """The toy data and the census fixture's training split."""
+    if request.param == "toy":
+        return _toy()
+    return request.getfixturevalue("census_split")[0]
 
 
 def test_sigmoid_stable_at_extremes():
@@ -67,41 +87,85 @@ def test_train_recovers_signs():
     assert m.converged
 
 
-def test_train_gradient_vanishes_at_optimum():
-    ds = _toy()
-    m = train_lr(ds, l2_strength=1.0)
-    Z = ds.design_matrix()
-    penalize = np.ones(Z.shape[1])
-    penalize[-1] = 0.0
-    g = _nll_grad(m.theta, Z, ds.y.astype(float), 1.0, penalize)
-    assert np.abs(g).max() < 1e-4
+def test_train_gradient_vanishes_at_optimum(lr_data):
+    m = train_lr(lr_data, l2_strength=1.0)
+    assert np.abs(_nll_grad(m.theta, *_objective(lr_data))).max() <= 1e-8
+    assert m.converged
+
+
+def test_train_matches_the_lbfgsb_oracle(lr_data):
+    m, oracle = train_lr(lr_data), train_lr_lbfgsb(lr_data)
+    assert m.names == oracle.names
+    assert np.abs(m.theta - oracle.theta).max() <= 1e-6
+    args = _objective(lr_data)
+    assert _nll(m.theta, *args) <= _nll(oracle.theta, *args) * (1.0 + 1e-9)
+
+
+def test_train_stops_well_before_the_iteration_cap(census_split):
+    train, _ = census_split
+    assert train_lr(train, max_iters=10).theta.tobytes() \
+        == train_lr(train).theta.tobytes()
+    assert not train_lr(train, max_iters=1).converged
 
 
 def test_nll_grad_matches_finite_differences():
     ds = _toy(50)
-    Z = ds.design_matrix()
-    penalize = np.ones(Z.shape[1])
-    penalize[-1] = 0.0
+    Z, y, l2, penalize = _objective(ds)
     theta = np.random.default_rng(1).normal(size=Z.shape[1])
-    fd = approx_fprime(theta, _nll, 1e-7, Z, ds.y.astype(float), 1.0, penalize)
-    g = _nll_grad(theta, Z, ds.y.astype(float), 1.0, penalize)
+    fd = approx_fprime(theta, _nll, 1e-7, Z, y, l2, penalize)
+    g = _nll_grad(theta, Z, y, l2, penalize)
     assert np.allclose(g, fd, rtol=1e-4, atol=1e-4)
 
 
 def test_train_beats_zero_weights():
     ds = _toy()
     m = train_lr(ds)
-    Z = ds.design_matrix()
-    penalize = np.ones(Z.shape[1])
-    penalize[-1] = 0.0
-    y = ds.y.astype(float)
-    assert _nll(m.theta, Z, y, 1.0, penalize) < _nll(np.zeros_like(m.theta),
-                                                     Z, y, 1.0, penalize)
+    args = _objective(ds)
+    assert _nll(m.theta, *args) < _nll(np.zeros_like(m.theta), *args)
 
 
 def test_train_deterministic():
     ds = _toy()
-    assert np.array_equal(train_lr(ds).theta, train_lr(ds).theta)
+    assert train_lr(ds).theta.tobytes() == train_lr(ds).theta.tobytes()
+
+
+def test_train_without_penalty_keeps_an_all_zero_column_at_zero():
+    ds = _toy()
+    X = np.column_stack([ds.X, np.zeros(ds.n)])
+    ds = Dataset(ds.A, X, ds.y, ["x0", "x1", "zero"], ds.sensitive_names,
+                 ds.sensitive_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = train_lr(ds, l2_strength=0.0)  # the Hessian is singular
+    assert np.isfinite(m.theta).all()
+    assert m.theta[m.names.index("zero")] == 0.0
+    assert np.abs(_nll_grad(m.theta, *_objective(ds, 0.0))).max() <= 1e-8
+
+
+def test_train_without_penalty_on_separable_data_returns_a_finite_model():
+    ds = _toy()
+    ds = Dataset(ds.A, ds.X, (ds.X[:, 0] > 0).astype(int), ds.feature_names,
+                 ds.sensitive_names, ds.sensitive_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = train_lr(ds, l2_strength=0.0)  # no finite optimum
+    assert np.isfinite(m.theta).all()
+    args = _objective(ds, 0.0)
+    assert _nll(m.theta, *args) < _nll(np.zeros_like(m.theta), *args)
+
+
+@pytest.mark.parametrize("l2", [-1.0, np.nan, np.inf])
+def test_train_rejects_a_negative_or_non_finite_penalty(l2):
+    with pytest.raises(ValueError, match=r"^lr_l2 must be finite and >= 0, got "):
+        train_lr(_toy(), l2_strength=l2)
+
+
+def test_importing_otfair_loads_no_scipy():
+    code = ("import otfair.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_train_single_class_raises():
