@@ -29,7 +29,7 @@ def table(args):
     print(f"{'method':6s} {'Err-.5':>8s} {'Wass1':>8s} {'SDD':>8s} {'SPDD':>8s}")
     start = harness.setup(cfg)  # one load, split, LR model and target
     rows = []
-    for method in ("LR", "COT", "DOT", "DPP"):
+    for method in harness.METHODS:
         _, row, _, _ = harness.fit_and_evaluate(replace(cfg, method=method),
                                                 *start)
         print(f"{method:6s} {row['err05']:8.3f} {row['wass1']:8.3f} "

@@ -9,9 +9,9 @@ import sys
 
 import numpy as np
 
-from .harness import (export_dual_snapshot, load_checkpoint, load_config,
-                      persist_run, run_batch_sweep, run_drift, run_experiment,
-                      summary_table, write_rows)
+from .harness import (METHODS, OT_METHODS, export_dual_snapshot,
+                      load_checkpoint, load_config, persist_run, run_batch_sweep,
+                      run_drift, run_experiment, summary_table, write_rows)
 
 # option (argparse dest) -> the [experiment] keys its value sets
 OPTION_KEYS = {"seed": ("seed", "split_seed"),
@@ -85,7 +85,7 @@ def main(argv=None):
 
     p = sub.add_parser("run", help="run one experiment (LR/COT/DOT/DPP)")
     add_config_options(p)
-    p.add_argument("--method", choices=("LR", "COT", "DOT", "DPP"))
+    p.add_argument("--method", choices=METHODS)
 
     p = sub.add_parser("sweep-batch", help="batch-size sweep over COT and DOT")
     add_config_options(p)
@@ -94,7 +94,7 @@ def main(argv=None):
 
     p = sub.add_parser("drift", help="run over a changing-unfairness schedule")
     add_config_options(p)
-    p.add_argument("--method", choices=("COT", "DOT"))
+    p.add_argument("--method", choices=OT_METHODS)
 
     p = sub.add_parser("export-duals", help="evaluate potentials on a grid")
     p.add_argument("--checkpoint", required=True)

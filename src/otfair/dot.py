@@ -18,15 +18,13 @@ class Coupling:
     """Sparse optimal coupling under uniform marginals.
 
     rows index the score batch, or each row of a stack as shape (G, K); cols
-    index the target batch. Masses are positive and sum to 1, with row sums
-    1/n_rows and column sums 1/n_cols.
+    index the target batch. Masses are positive and sum to 1: each of the n
+    score atoms carries 1/n of it and each of the m target atoms 1/m.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     mass: np.ndarray
-    n_rows: int
-    n_cols: int
 
 
 @lru_cache(maxsize=8)
@@ -63,7 +61,7 @@ def optimal_coupling_1d(xs, ys):
     x_rank, y_rank, units = _rank_grid(n, m)
     return Coupling(np.argsort(xs, axis=-1, kind="stable")[..., x_rank],
                     np.argsort(ys, kind="stable")[y_rank],
-                    units / (n * m), n, m)
+                    units / (n * m))
 
 
 def dot_theta_update(model, coupling, Z, s, sbar, eps_theta, keys):

@@ -19,6 +19,7 @@ from .model import LogisticModel, score_batch, train_lr
 from .rff import DualPotential, RffMap, eval_potential
 
 METHODS = ("LR", "COT", "DOT", "DPP")
+OT_METHODS = ("COT", "DOT")  # the methods that fit, and so can run a drift
 
 OUT_ROOT_ENV = "OTFAIR_OUT"
 
@@ -55,12 +56,13 @@ class ExperimentConfig:
             raise ValueError(f"trace_every must be >= 1, got {self.trace_every}")
         if not 0.0 <= self.lr_l2 < np.inf:
             raise ValueError(f"lr_l2 must be finite and >= 0, got {self.lr_l2}")
+        if self.desk_scale and self.ot.num_updates > DESK_UPDATES:
+            self.ot = replace(self.ot, num_updates=DESK_UPDATES)
 
-    def out_dir(self, default_name="run"):
+    def out_dir(self, name):
         if self.out:
             return self.out
-        root = os.environ.get(OUT_ROOT_ENV, "runs")
-        return os.path.join(root, default_name)
+        return os.path.join(os.environ.get(OUT_ROOT_ENV, "runs"), name)
 
 
 def write_rows(path, rows):
@@ -147,8 +149,6 @@ def load_config(path, overrides=None):
     ot = OtConfig(**fields["ot"])
     if fields["ot.reg"]:
         ot = replace(ot, reg=replace(ot.reg, **fields["ot.reg"]))
-    if fields[""].get("desk_scale"):
-        ot = replace(ot, num_updates=min(ot.num_updates, DESK_UPDATES))
     cfg = ExperimentConfig(ot=ot, **fields[""])
     if parser.has_section("schedule"):
         sched = dict(parser["schedule"])
@@ -255,13 +255,18 @@ def fit_and_evaluate(cfg, train, test, model, target):
     """Dispatch cfg.method from a set-up and evaluate on test: (trace rows,
     metrics row, final model, dual pairs), with pairs only for COT."""
     final, rows, pairs = model, [], None
-    if cfg.method in ("COT", "DOT"):
+    if cfg.method in OT_METHODS:
         final, rows, pairs = _fit_ot(cfg, model, train, target, cfg.ot)
     s_test = score_batch(final, test.design_matrix(
         include_sensitive=cfg.include_sensitive))
     if cfg.method == "DPP":
         _, train_dists = group_score_distributions(train, model,
                                                    cfg.include_sensitive)
+        for k in test.group_keys:
+            if k not in train_dists:
+                name = ", ".join(f"{c}={levels[v]}" for c, levels, v in zip(
+                    test.sensitive_names, test.sensitive_levels, k))
+                raise ValueError(f"DPP: test group {k} ({name}) has no training rows")
         qmap = dpp_mod.fit_dpp({k: d.samples for k, d in train_dists.items()},
                                target)
         for k, idx in test.groups.items():
@@ -289,14 +294,16 @@ def persist_run(out_dir, cfg, rows, summary, model=None, pairs=None):
         write_rows(os.path.join(out_dir, "trace.csv"), rows)
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(resolve_manifest(cfg), fh, indent=2, default=str)
-    name = "phase_stats.json" if isinstance(summary, list) else "metrics.json"
+    drift = isinstance(summary, list)
+    name = "phase_stats.json" if drift else "metrics.json"
     with open(os.path.join(out_dir, name), "w") as fh:
         json.dump(summary, fh, indent=2)
     if model is not None:
         model.save(os.path.join(out_dir, "model.json"))
     if pairs is not None:
-        save_checkpoint(os.path.join(out_dir, "checkpoint.json"),
-                        model, pairs, cfg.ot, rows[-1]["update"] if rows else 0)
+        save_checkpoint(os.path.join(out_dir, "checkpoint.json"), model, pairs,
+                        cfg.ot, cfg.schedule.total_updates if drift
+                        else cfg.ot.num_updates)
     return out_dir
 
 
@@ -305,7 +312,7 @@ def run_batch_sweep(cfg, batch_sizes):
     set-up (load, split, LR model, target), with every cell checked first."""
     cells = [replace(cfg, method=method,
                      ot=replace(cfg.ot, batch_scores=size, batch_target=size))
-             for size in batch_sizes for method in ("COT", "DOT")]
+             for size in batch_sizes for method in OT_METHODS]
     if not cells:
         raise ValueError("no batch sizes to sweep")
     start = setup(cfg)
@@ -318,11 +325,11 @@ def run_batch_sweep(cfg, batch_sizes):
     return rows
 
 
-def phase_stats(rows, phases, recovery_factor=1.5):
+def phase_stats(rows, phases):
     """Per-phase minimum Wass1, its position, and updates-to-recovery.
 
-    Recovery is the first in-phase update where Wass1 drops to
-    recovery_factor times the previous phase's minimum.
+    Recovery is the first in-phase update where Wass1 drops to 1.5 times
+    the previous phase's minimum.
     """
     stats = []
     start = 0
@@ -337,7 +344,7 @@ def phase_stats(rows, phases, recovery_factor=1.5):
         i_min = int(np.argmin(wass))
         rec = None
         if prev_min is not None:
-            hit = np.nonzero(wass <= recovery_factor * prev_min)[0]
+            hit = np.nonzero(wass <= 1.5 * prev_min)[0]
             rec = int(upd[hit[0]] - start) if hit.size else None
         stats.append({"phase": p, "min_wass1": float(wass[i_min]),
                       "updates_to_min": int(upd[i_min] - start),
@@ -356,7 +363,7 @@ def run_drift(cfg):
     """
     if cfg.schedule is None:
         raise ValueError("drift run requires a schedule")
-    if cfg.method not in ("COT", "DOT"):
+    if cfg.method not in OT_METHODS:
         raise ValueError("drift runs support COT and DOT only")
     train, test, model, target = setup(cfg)
     schedule = _resolve_schedule(cfg, train)

@@ -47,25 +47,24 @@ def wasserstein1_1d(p, q):
     return float(np.sum(np.abs(gap) * np.diff(x[order]))) / (n * m)
 
 
-def err_at_threshold(scores, labels, tau=0.5):
-    """Fraction of threshold predictions 1_{s > tau} disagreeing with labels.
-
-    Ties s == tau predict class 0.
-    """
+def err_at_threshold(scores, labels):
+    """Err-.5: fraction of threshold predictions 1_{s > 0.5} disagreeing with
+    labels. Ties s == 0.5 predict class 0."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if scores.size == 0:
         raise ValueError("empty score array")
-    preds = (scores > tau).astype(int)
+    preds = (scores > 0.5).astype(int)
     return float((preds != labels).mean())
 
 
-def sdd(groups, pooled):
+def sdd(groups):
     """Sum over groups of the threshold-averaged disparity versus the pool.
 
     The integral over tau of |P(A > tau) - P(B > tau)| is W1(A, B) in 1-D.
     """
-    return sum(wasserstein1_1d(g, pooled) for g in groups.values())
+    pool = pooled(groups)
+    return sum(wasserstein1_1d(g, pool) for g in groups.values())
 
 
 def spdd(groups):
@@ -83,25 +82,22 @@ def pooled(groups):
         np.concatenate([groups[k].samples for k in sorted(groups)]))
 
 
-def w1_barycenter(groups, weights=None, grid=1000):
-    """W1 barycenter: per-level weighted median of the group quantile functions.
+def w1_barycenter(groups):
+    """W1 barycenter on 1000 quantile levels: per level, the median of the
+    group quantile functions with each group weighted by its size.
 
     Ties in the weighted median resolve to the smaller quantile value.
     """
     keys = sorted(groups)
-    if weights is None:
-        total = sum(groups[k].n for k in keys)
-        weights = {k: groups[k].n / total for k in keys}
-    w = np.array([weights[k] for k in keys], dtype=float)
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("group weights must sum to 1")
-    levels = (np.arange(grid) + 0.5) / grid
-    Q = np.stack([groups[k].quantile(levels) for k in keys])  # (G, grid)
+    w = np.array([groups[k].n for k in keys], dtype=float)
+    w /= w.sum()
+    levels = (np.arange(1000) + 0.5) / 1000
+    Q = np.stack([groups[k].quantile(levels) for k in keys])  # (G, 1000)
     order = np.argsort(Q, axis=0, kind="stable")
     qs = np.take_along_axis(Q, order, axis=0)
     ws = np.cumsum(w[order], axis=0)
     first = np.argmax(ws >= 0.5 - 1e-12, axis=0)
-    bary = qs[first, np.arange(grid)]
+    bary = qs[first, np.arange(levels.size)]
     return EmpiricalDistribution(bary)
 
 
@@ -111,6 +107,6 @@ def evaluate(ds, scores, target):
     return {
         "err05": err_at_threshold(scores, ds.y),
         "wass1": sum(wasserstein1_1d(g, target) for g in dists.values()),
-        "sdd": sdd(dists, pooled(dists)),
+        "sdd": sdd(dists),
         "spdd": spdd(dists),
     }

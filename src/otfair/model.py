@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _CLIP = np.finfo(float).eps  # keeps scores strictly inside (0, 1)
+LR_MAX_ITERS = 500  # cap on train_lr's Newton iterations
+LR_TOL = 1e-8  # train_lr stops once ||grad||_inf <= LR_TOL
 
 
 class DegenerateLabelsError(ValueError):
@@ -69,12 +71,11 @@ def _nll_grad(theta, Z, y, l2, penalize):
     return Z.T @ (p - y) + l2 * theta * penalize
 
 
-def train_lr(d, l2_strength=1.0, max_iters=500, tol=1e-8,
-             include_sensitive=True):
+def train_lr(d, l2_strength=1.0, include_sensitive=True):
     """Fit L2-regularized logistic regression by damped Newton from zero weights.
 
-    The intercept is unpenalized. converged means ||grad||_inf <= max(tol, 1e-6)
-    at the returned weights; otherwise it is False rather than failing.
+    The intercept is unpenalized; at most LR_MAX_ITERS steps run. converged
+    means ||grad||_inf <= max(LR_TOL, 1e-6) at the returned weights, else False.
     """
     if not 0.0 <= l2_strength < np.inf:
         raise ValueError(f"lr_l2 must be finite and >= 0, got {l2_strength}")
@@ -90,8 +91,8 @@ def train_lr(d, l2_strength=1.0, max_iters=500, tol=1e-8,
     args = (Z, y, l2_strength, penalize)
     theta = np.zeros(Z.shape[1])
     loss, grad = _nll(theta, *args), _nll_grad(theta, *args)
-    for _ in range(max_iters):
-        if np.abs(grad).max() <= tol:
+    for _ in range(LR_MAX_ITERS):
+        if np.abs(grad).max() <= LR_TOL:
             break
         p = sigmoid(Z @ theta)
         hess = (Z.T * (p * (1.0 - p))) @ Z + np.diag(l2_strength * penalize)
@@ -104,5 +105,5 @@ def train_lr(d, l2_strength=1.0, max_iters=500, tol=1e-8,
             break
         theta, loss = theta + t * step, new
         grad = _nll_grad(theta, *args)
-    converged = bool(np.abs(grad).max() <= max(tol, 1e-6))
+    converged = bool(np.abs(grad).max() <= max(LR_TOL, 1e-6))
     return LogisticModel(theta, names, converged=converged)

@@ -55,8 +55,6 @@ class DualPotential:
 
 def make_rff(D, sigma2, seed):
     """Sample a frozen feature map; deterministic under the seed."""
-    if D < 1:
-        raise ValueError("feature count must be >= 1")
     if sigma2 <= 0:
         raise ValueError("kernel variance must be positive")
     rng = np.random.default_rng(seed)

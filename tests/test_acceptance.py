@@ -274,7 +274,7 @@ def test_criterion_8_metric_identities(rng):
         surv_g = (g.samples[None, :] > taus[:, None]).mean(axis=1)
         surv_p = (pool.samples[None, :] > taus[:, None]).mean(axis=1)
         mc += np.abs(surv_g - surv_p).mean()
-    assert abs(sdd(groups, pool) - mc) < 1e-2
+    assert abs(sdd(groups) - mc) < 1e-2
 
     bary = w1_barycenter(groups)
     best = sum(wasserstein1_1d(g, bary) for g in groups.values())

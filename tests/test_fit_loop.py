@@ -107,7 +107,7 @@ def _ref_eval_row(update, model, eval_data, target, include_sensitive, objs):
         "update": update,
         "wass1": sum(wasserstein1_1d(g, target) for g in group_dists.values()),
         "err05": err_at_threshold(s, eval_data.y),
-        "sdd": sdd(group_dists, EmpiricalDistribution(s)),
+        "sdd": sdd(group_dists),
         "spdd": spdd(group_dists),
     }
     for k in sorted(objs):

@@ -146,6 +146,22 @@ def test_checkpoint_round_trip(config_path, tmp_path):
                            pairs2[key].score_side.map.omegas)
 
 
+def test_checkpoint_iteration_is_the_number_of_updates_run(
+        config_path, drift_config_path, tmp_path):
+    # trace_every = 7 divides neither 30 updates nor the schedule's 2 x 20, so
+    # the last trace row (28, 35) is not the last update.
+    for command, config, total in (("run", config_path, 30),
+                                   ("drift", drift_config_path, 40)):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", config, "--method", "COT",
+                         "--updates", "30", "--trace-every", "7",
+                         "--out", out]) == 0
+        assert read_rows(os.path.join(out, "trace.csv"))[-1]["update"] \
+            == total - total % 7
+        with open(os.path.join(out, "checkpoint.json")) as fh:
+            assert json.load(fh)["iteration"] == total
+
+
 def test_build_target_specs(census, base_model):
     bary = build_target(census, base_model, "barycenter")
     pool = build_target(census, base_model, "pooled")
@@ -165,7 +181,7 @@ def test_build_target_specs(census, base_model):
 def test_phase_stats_hand_case():
     rows = ([{"update": u, "wass1": 1.0 - u / 100.0} for u in range(10, 101, 10)]
             + [{"update": u, "wass1": 0.5} for u in range(110, 201, 10)])
-    stats = phase_stats(rows, [({}, 100), ({}, 100)], recovery_factor=1.5)
+    stats = phase_stats(rows, [({}, 100), ({}, 100)])
     assert stats[0]["min_wass1"] == pytest.approx(0.0)
     assert stats[0]["updates_to_min"] == 100
     assert stats[0]["updates_to_recovery"] is None
@@ -412,6 +428,24 @@ def test_desk_scale_caps_the_updates_from_the_file_and_the_option(
     cfg = cli.config_from_args(ap.parse_args(
         ["--config", str(plain), "--updates", "50000", "--desk-scale"]))
     assert cfg.ot.num_updates == harness.DESK_UPDATES
+    ot = OtConfig(num_updates=int(updates or 100_000))  # a config built in Python
+    assert ExperimentConfig(ot=ot).ot.num_updates == ot.num_updates
+    assert ExperimentConfig(desk_scale=True, ot=ot).ot.num_updates == capped
+
+
+def test_dpp_rejects_a_test_group_without_training_rows(tmp_path, capsys):
+    # The one (Asian, female) record lands in the test split, so DPP has no
+    # training scores to map that group's test scores from.
+    data = tmp_path / "census.csv"
+    synthetic.write_csv(data, 2000, seed=3)
+    with open(data, "a") as fh:
+        fh.write("40.00,12.00,40.00,0.000,private,Asian,female,<=50K\n")
+    p = tmp_path / "dpp.ini"
+    p.write_text(_config_text(data, "method = DPP\ntest_frac = 0.9"))
+    out = tmp_path / "run"
+    assert _cli_error(capsys, ["run", "--config", str(p), "--out", str(out)]) \
+        == "DPP: test group (0, 0) (race=Asian, gender=female) has no training rows"
+    assert not out.exists()
 
 
 def test_readme_option_table_is_the_cli_option_keys():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import approx_fprime
 
+from otfair import model as model_mod
 from otfair.data import Dataset
 from otfair.model import (DegenerateLabelsError, LogisticModel, score_batch,
                           sigmoid, train_lr, _nll, _nll_grad)
@@ -101,11 +102,13 @@ def test_train_matches_the_lbfgsb_oracle(lr_data):
     assert _nll(m.theta, *args) <= _nll(oracle.theta, *args) * (1.0 + 1e-9)
 
 
-def test_train_stops_well_before_the_iteration_cap(census_split):
+def test_train_stops_well_before_the_iteration_cap(census_split, monkeypatch):
     train, _ = census_split
-    assert train_lr(train, max_iters=10).theta.tobytes() \
-        == train_lr(train).theta.tobytes()
-    assert not train_lr(train, max_iters=1).converged
+    full = train_lr(train).theta.tobytes()
+    monkeypatch.setattr(model_mod, "LR_MAX_ITERS", 10)
+    assert train_lr(train).theta.tobytes() == full
+    monkeypatch.setattr(model_mod, "LR_MAX_ITERS", 1)
+    assert not train_lr(train).converged
 
 
 def test_nll_grad_matches_finite_differences():
