@@ -19,7 +19,6 @@ OPTION_KEYS = {"seed": ("seed", "split_seed"),
                "updates": ("updates",), "trace_every": ("trace_every",),
                "method": ("method",), "out": ("out",),
                "desk_scale": ("desk_scale",)}
-INPUT_ERRORS = (ValueError, OSError, configparser.Error)  # reported as one line
 
 
 def add_config_options(p):
@@ -106,9 +105,9 @@ def main(argv=None):
     p.add_argument("--out")
 
     args = parser.parse_args(argv)
-    try:  # every otfair input error is a ValueError; others propagate
+    try:  # bad input is one error line; other exceptions propagate
         _run(args)
-    except INPUT_ERRORS as err:
+    except (ValueError, OSError, configparser.Error) as err:
         parser.error(" ".join(str(err).split()))
     return 0
 

@@ -326,19 +326,15 @@ def theta_update(model, grad, eps_theta):
 
 
 def _iter_phases(data):
-    """Normalize `data` into (Dataset, duration or None, eval Dataset or None).
+    """Normalize `data` into a list of (Dataset, duration or None, eval
+    Dataset or None), reading an iterable once.
 
     Accepts a plain Dataset, an iterable of (Dataset, duration), or an
     iterable of (Dataset, duration, eval_dataset) for per-phase evaluation.
     """
     if hasattr(data, "groups"):
-        yield data, None, None
-    else:
-        for phase in data:
-            if len(phase) == 2:
-                yield phase[0], phase[1], None
-            else:
-                yield phase
+        return [(data, None, None)]
+    return [(*phase, None)[:3] for phase in data]  # a pair gets eval None
 
 
 def _eval_row(update, model, eval_data, target, include_sensitive, objs):
@@ -411,8 +407,8 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     the first update, unless that table would exceed TARGET_TABLE_BYTES;
     either way they are the same bits. Dual pairs are kept across phase
     shifts, so every phase must have the first phase's groups; one that does
-    not raises ValueError. Returns (final model, trace rows, final dual
-    pairs by group key). Deterministic under cfg.seed.
+    not raises ValueError before the first update. Returns (final model,
+    trace rows, final dual pairs by group key). Deterministic under cfg.seed.
     """
     eps_theta = COT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
     pairing_count = (cfg.batch_scores * cfg.batch_target
@@ -431,10 +427,6 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
                                           maps[0].sigma2))
             if len(keys) * target.n * cfg.D * 8 <= TARGET_TABLE_BYTES:
                 table = eval_features(state.score_side.map, target.samples)
-        elif phase_keys != keys:
-            raise ValueError(f"phase groups {phase_keys} differ from the "
-                             f"first phase's {keys}; every phase must have "
-                             "the same groups")
         state, obj, terms = group_step(
             state, cfg.reg, Z, s, target.samples[idx], cfg.eps_dual,
             cfg.antisymmetric, cfg.pair_mode,
@@ -444,7 +436,13 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
             raise DivergenceError("dual objective diverged; reduce eps_dual")
         return theta_update(model, terms.sum(axis=0), eps_theta / pairing_count)
 
-    model, trace = _fit_loop(model, data, target, cfg, trace_every,
+    phases = _iter_phases(data)
+    for phase_data, _, _ in phases[1:]:
+        if phase_data.group_keys != phases[0][0].group_keys:
+            raise ValueError(f"phase groups {phase_data.group_keys} differ from "
+                             f"the first phase's {phases[0][0].group_keys}; "
+                             "every phase must have the same groups")
+    model, trace = _fit_loop(model, phases, target, cfg, trace_every,
                              include_sensitive, step, objs)
     return model, trace, {
         key: DualPair(DualPotential(state.score_side.coeffs[g], m),

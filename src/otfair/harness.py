@@ -230,11 +230,18 @@ def _resolve_schedule(cfg, ds):
 
 def setup(cfg):
     """(train, test, LR model, target): the start of every run and drift.
-    Group selectors are checked on the split before training: fail fast."""
+    Group selectors, and for DPP the test groups, are checked on the split
+    before training: fail fast."""
     train, test = _load_and_split(cfg)
     if cfg.target.startswith("group:"):
         _match_groups(train, cfg.target[len("group:"):])
     _resolve_schedule(cfg, train)
+    if cfg.method == "DPP":  # DPP maps each test group by its training scores
+        for k in test.group_keys:
+            if k not in train.groups:
+                name = ", ".join(f"{c}={levels[v]}" for c, levels, v in zip(
+                    test.sensitive_names, test.sensitive_levels, k))
+                raise ValueError(f"DPP: test group {k} ({name}) has no training rows")
     model = train_lr(train, cfg.lr_l2, include_sensitive=cfg.include_sensitive)
     target = build_target(train, model, cfg.target, cfg.include_sensitive)
     return train, test, model, target
@@ -262,11 +269,6 @@ def fit_and_evaluate(cfg, train, test, model, target):
     if cfg.method == "DPP":
         _, train_dists = group_score_distributions(train, model,
                                                    cfg.include_sensitive)
-        for k in test.group_keys:
-            if k not in train_dists:
-                name = ", ".join(f"{c}={levels[v]}" for c, levels, v in zip(
-                    test.sensitive_names, test.sensitive_levels, k))
-                raise ValueError(f"DPP: test group {k} ({name}) has no training rows")
         qmap = dpp_mod.fit_dpp({k: d.samples for k, d in train_dists.items()},
                                target)
         for k, idx in test.groups.items():
@@ -315,7 +317,7 @@ def run_batch_sweep(cfg, batch_sizes):
              for size in batch_sizes for method in OT_METHODS]
     if not cells:
         raise ValueError("no batch sizes to sweep")
-    start = setup(cfg)
+    start = setup(cells[0])  # an OT cell, so an INI method = DPP adds no check
     rows = []
     for c in cells:
         _, metrics_row, _, _ = fit_and_evaluate(c, *start)

@@ -422,9 +422,17 @@ def _three_level_dataset(codes, seed=0, n=40):
 
 
 @pytest.mark.parametrize("later", [[0, 2], [0]])
-def test_cot_run_rejects_a_phase_with_other_groups(later):
+def test_cot_run_rejects_a_phase_with_other_groups(later, monkeypatch):
     # Dual pairs are kept across phases, so each phase must have the first
     # phase's groups; a different set would silently get other groups' maps.
+    # Every phase is checked before the first update.
+    real, calls = cot.theta_update, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cot, "theta_update", counted)
     phases = [(_three_level_dataset([0, 1]), 3),
               (_three_level_dataset(later, seed=1), 3)]
     model = LogisticModel(np.zeros(5))
@@ -434,6 +442,32 @@ def test_cot_run_rejects_a_phase_with_other_groups(later):
     other = re.escape(str([(c,) for c in later]))
     with pytest.raises(ValueError, match=f"{other}.*{first}"):
         cot_run(model, phases, target, cfg, trace_every=1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("later", [[0, 2], [0]])
+def test_dot_run_accepts_a_phase_with_other_groups(later):
+    # DOT keeps no per-group state across phases, so any phase groups fit.
+    phases = [(_three_level_dataset([0, 1]), 3),
+              (_three_level_dataset(later, seed=1), 3)]
+    model = LogisticModel(np.zeros(5))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(D=8, num_updates=6, batch_scores=4, batch_target=4, seed=1)
+    fitted, trace = dot_run(model, phases, target, cfg, trace_every=1)
+    assert [r["update"] for r in trace] == list(range(7))
+    assert np.all(np.isfinite(fitted.theta))
+
+
+def test_cot_run_reads_a_one_shot_iterable_of_phases_once():
+    phases = [(_three_level_dataset([0, 1]), 3),
+              (_three_level_dataset([0, 1], seed=1), 3)]
+    model = LogisticModel(np.zeros(5))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(D=8, num_updates=6, batch_scores=4, batch_target=4, seed=1)
+    listed = cot_run(model, phases, target, cfg, trace_every=1)
+    once = cot_run(model, iter(phases), target, cfg, trace_every=1)
+    assert np.array_equal(once[0].theta, listed[0].theta)
+    assert [r["update"] for r in once[1]] == list(range(7))
 
 
 def _count_feature_calls(monkeypatch, levels):
