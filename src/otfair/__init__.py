@@ -5,7 +5,7 @@ plus discrete-OT and quantile post-processing baselines."""
 from . import synthetic
 from .cot import (COT_EPS_THETA, DivergenceError, DualPair, OtConfig,
                   Regularizer, alpha, conjugate, cot_run, dual_objective,
-                  dual_update, estimate_reg_w1, theta_update)
+                  dual_update, theta_update)
 from .data import (Dataset, GroupKey, InfeasibleRateError, Schema, SchemaError,
                    UnfairnessSchedule, load_dataset, resample_positive_rate,
                    train_test_split)

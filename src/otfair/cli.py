@@ -72,7 +72,7 @@ def _run(args):
             rows, summary, model, pairs = run_experiment(cfg, return_state=True)
         else:
             rows, summary, model, pairs = run_drift(cfg)
-        name = cfg.method.lower() if args.command == "run" else "drift"
+        name = ("" if args.command == "run" else "drift-") + cfg.method.lower()
         out = persist_run(cfg.out_dir(name), cfg, rows, summary, model, pairs)
         print(json.dumps(summary))
         print(out)

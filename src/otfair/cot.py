@@ -224,21 +224,6 @@ def _theta_term(pair, Z, s, a, diff, pair_mode, rows):
     return ((w * s * (1.0 - s))[..., None, :] @ Z)[..., 0, :]
 
 
-def _ascend_and_evaluate(pair, reg, xs, ys, eps_dual, antisymmetric,
-                         pair_mode, fy=None):
-    """Ascend the pair with each batch's features evaluated once (fy: the
-    target batch's, if already known), then evaluate the dual objective on
-    the new potentials. Returns (new pair, objective, pairing weights alpha
-    on the new potentials, xs - ys)."""
-    fx, fy, diff = _features(pair.score_side.map, xs, ys, pair_mode, fy)
-    cost = np.abs(diff)
-    pair = _ascend(pair, reg, fx, fy, _potentials(pair, fx, fy, pair_mode)[2],
-                   cost, eps_dual, antisymmetric, pair_mode)
-    lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
-    a = alpha(reg, pot, cost)
-    return pair, _objective(reg, lx, ly, pot, cost, pair_mode, a), a, diff
-
-
 def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode,
                fy=None):
     """One COT update for one dual pair or a stack of G, with each batch's
@@ -254,8 +239,13 @@ def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode,
     may compute them while this one ascends (_offload_grad_rows).
     """
     job = _offload_grad_rows(pair.score_side.map, s)
-    pair, obj, a, diff = _ascend_and_evaluate(
-        pair, reg, s, sbar, eps_dual, antisymmetric, pair_mode, fy)
+    fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode, fy)
+    cost = np.abs(diff)
+    pair = _ascend(pair, reg, fx, fy, _potentials(pair, fx, fy, pair_mode)[2],
+                   cost, eps_dual, antisymmetric, pair_mode)
+    lx, ly, pot = _potentials(pair, fx, fy, pair_mode)
+    a = alpha(reg, pot, cost)
+    obj = _objective(reg, lx, ly, pot, cost, pair_mode, a)
     # Never wait on the worker: drop a job it has not started, and compute
     # the rows here if it has not finished.
     done = job is not None and not job.cancel() and job.done()
@@ -280,34 +270,6 @@ def dual_update(pair, reg, xs, ys, eps_dual, antisymmetric=False, pair_mode="ful
                    antisymmetric, pair_mode)
 
 
-def estimate_reg_w1(xs_sampler, ys_sampler, cfg):
-    """Estimate the regularized W1 between two sampled distributions.
-
-    Samplers are callables (rng, n) -> array. Runs cfg.num_updates dual
-    ascent steps and returns (running-average dual objective over the second
-    half of the run, final DualPair).
-    """
-    ss = np.random.SeedSequence(cfg.seed)
-    map_seed, stream_seed = ss.spawn(2)
-    rff_map = make_rff(cfg.D, cfg.sigma2, map_seed)
-    pair = DualPair.zeros(rff_map)
-    rng = np.random.default_rng(stream_seed)
-    burn_in = cfg.num_updates // 2
-    acc, count = 0.0, 0
-    for k in range(cfg.num_updates):
-        xs, ys = _as_batches(xs_sampler(rng, cfg.batch_scores),
-                             ys_sampler(rng, cfg.batch_target), cfg.pair_mode)
-        pair, obj = _ascend_and_evaluate(pair, cfg.reg, xs, ys, cfg.eps_dual,
-                                         cfg.antisymmetric, cfg.pair_mode)[:2]
-        if not np.isfinite(obj) or abs(obj) > 1e12:
-            raise DivergenceError(
-                f"dual objective diverged at update {k}; reduce eps_dual")
-        if k >= burn_in:
-            acc += float(obj)
-            count += 1
-    return acc / max(count, 1), pair
-
-
 def theta_update(model, grad, eps_theta):
     """One descent step theta - eps_theta * grad on the model parameters.
 
@@ -326,15 +288,23 @@ def theta_update(model, grad, eps_theta):
 
 
 def _iter_phases(data):
-    """Normalize `data` into a list of (Dataset, duration or None, eval
-    Dataset or None), reading an iterable once.
-
-    Accepts a plain Dataset, an iterable of (Dataset, duration), or an
-    iterable of (Dataset, duration, eval_dataset) for per-phase evaluation.
-    """
+    """Normalize a Dataset, or an iterable of (Dataset, duration) or of
+    (Dataset, duration, eval Dataset), into a list of (Dataset, duration or
+    None, eval Dataset or None), reading an iterable once."""
     if hasattr(data, "groups"):
         return [(data, None, None)]
     return [(*phase, None)[:3] for phase in data]  # a pair gets eval None
+
+
+def _fit_phases(data, target, trace_every):
+    """Check a fit's inputs; return the phases of `data` (_iter_phases)."""
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
+    if target.n < 1:
+        raise ValueError("target distribution is empty")
+    if not (phases := _iter_phases(data)):
+        raise ValueError("no phases to fit")
+    return phases
 
 
 def _eval_row(update, model, eval_data, target, include_sensitive, objs):
@@ -347,25 +317,22 @@ def _eval_row(update, model, eval_data, target, include_sensitive, objs):
     return row
 
 
-def _fit_loop(model, data, target, cfg, trace_every, include_sensitive, step,
-              objs):
+def _fit_loop(model, phases, target, cfg, trace_every, include_sensitive,
+              step, objs):
     """The alternating scheme COT and DOT share; returns (model, trace rows).
 
-    Per update: draw a target batch's indices idx in target.samples, then
-    all G groups' score rows in one draw (key order), gather them as Z,
-    (G, b, d), score them in one call as s, (G, b), and let step(model,
-    idx, keys, Z, s) return the next model. Trace rows are taken at update
-    0 and every trace_every updates on the phase's held-out set (else its
-    train set); objs holds the per-group columns they report.
+    phases are _fit_phases(data, target, trace_every). Per update: draw a
+    target batch's indices idx in target.samples, then all G groups' score
+    rows in one draw (key order), gather them as Z, (G, b, d), score them in
+    one call as s, (G, b), and let step(model, idx, keys, Z, s) return the
+    next model. Trace rows are taken at update 0 and every trace_every
+    updates on the phase's held-out set (else its train set); objs holds
+    the per-group columns they report.
     """
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be >= 1, got {trace_every}")
-    if target.n < 1:
-        raise ValueError("target distribution is empty")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     trace = []
     k_total = 0
-    for phase_data, duration, phase_eval in _iter_phases(data):
+    for phase_data, duration, phase_eval in phases:
         keys = phase_data.group_keys
         members = [phase_data.groups[key] for key in keys]
         sizes = np.array([m.size for m in members])[:, None]
@@ -402,31 +369,37 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
 
     Per update, take one group_step on all groups' stacked batches (ascend
     their stacked dual pairs, evaluate the objectives and the groups'
-    gradient terms), then one theta_update on the summed gradient. The target batch's features are
-    gathered from a table of the features of every target sample, built on
-    the first update, unless that table would exceed TARGET_TABLE_BYTES;
+    gradient terms), then one theta_update on the summed gradient. The
+    target batch's features are gathered from a table of the features of
+    every target sample unless that table would exceed TARGET_TABLE_BYTES;
     either way they are the same bits. Dual pairs are kept across phase
-    shifts, so every phase must have the first phase's groups; one that does
-    not raises ValueError before the first update. Returns (final model,
+    shifts, so every phase must have the first phase's groups. The checks,
+    pairs and table come before the first update. Returns (final model,
     trace rows, final dual pairs by group key). Deterministic under cfg.seed.
     """
+    phases = _fit_phases(data, target, trace_every)
+    keys = phases[0][0].group_keys
+    for phase_data, _, _ in phases[1:]:
+        if phase_data.group_keys != keys:
+            raise ValueError(f"phase groups {phase_data.group_keys} differ from "
+                             f"the first phase's {keys}; "
+                             "every phase must have the same groups")
     eps_theta = COT_EPS_THETA if cfg.eps_theta is None else cfg.eps_theta
     pairing_count = (cfg.batch_scores * cfg.batch_target
                      if cfg.pair_mode == "full" else cfg.batch_scores)
-    keys, maps, objs, state, table = [], [], {}, None, None
+    # map g: child g + 1 of cfg.seed; child 0 is the batch stream
+    maps = [make_rff(cfg.D, cfg.sigma2,
+                     np.random.SeedSequence(cfg.seed, spawn_key=(g + 1,)))
+            for g in range(len(keys))]
+    state = DualPair.zeros(RffMap(np.stack([m.omegas for m in maps]),
+                                  np.stack([m.phases for m in maps]),
+                                  maps[0].sigma2))
+    table = (eval_features(state.score_side.map, target.samples)
+             if len(keys) * target.n * cfg.D * 8 <= TARGET_TABLE_BYTES else None)
+    objs = {}
 
     def step(model, idx, phase_keys, Z, s):
-        nonlocal state, table
-        if state is None:
-            # map g: child g + 1 of cfg.seed; child 0 is the batch stream
-            keys.extend(phase_keys)
-            maps.extend(make_rff(cfg.D, cfg.sigma2, np.random.SeedSequence(
-                cfg.seed, spawn_key=(g + 1,))) for g in range(len(keys)))
-            state = DualPair.zeros(RffMap(np.stack([m.omegas for m in maps]),
-                                          np.stack([m.phases for m in maps]),
-                                          maps[0].sigma2))
-            if len(keys) * target.n * cfg.D * 8 <= TARGET_TABLE_BYTES:
-                table = eval_features(state.score_side.map, target.samples)
+        nonlocal state
         state, obj, terms = group_step(
             state, cfg.reg, Z, s, target.samples[idx], cfg.eps_dual,
             cfg.antisymmetric, cfg.pair_mode,
@@ -436,12 +409,6 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
             raise DivergenceError("dual objective diverged; reduce eps_dual")
         return theta_update(model, terms.sum(axis=0), eps_theta / pairing_count)
 
-    phases = _iter_phases(data)
-    for phase_data, _, _ in phases[1:]:
-        if phase_data.group_keys != phases[0][0].group_keys:
-            raise ValueError(f"phase groups {phase_data.group_keys} differ from "
-                             f"the first phase's {phases[0][0].group_keys}; "
-                             "every phase must have the same groups")
     model, trace = _fit_loop(model, phases, target, cfg, trace_every,
                              include_sensitive, step, objs)
     return model, trace, {

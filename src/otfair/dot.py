@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cot import DivergenceError, _fit_loop
+from .cot import DivergenceError, _fit_loop, _fit_phases
 from .model import LogisticModel
 
 DOT_EPS_THETA = 5e-3  # default parameter step when OtConfig.eps_theta is None
@@ -101,5 +101,5 @@ def dot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
         return dot_theta_update(model, optimal_coupling_1d(s, sbar), Z, s,
                                 sbar, eps_theta, keys)
 
-    return _fit_loop(model, data, target, cfg, trace_every, include_sensitive,
-                     step, {})
+    return _fit_loop(model, _fit_phases(data, target, trace_every), target, cfg,
+                     trace_every, include_sensitive, step, {})

@@ -331,7 +331,7 @@ def phase_stats(rows, phases):
     """Per-phase minimum Wass1, its position, and updates-to-recovery.
 
     Recovery is the first in-phase update where Wass1 drops to 1.5 times
-    the previous phase's minimum.
+    the previous phase's minimum. Every phase must have a row.
     """
     stats = []
     start = 0
@@ -339,8 +339,6 @@ def phase_stats(rows, phases):
     for p, (_, duration) in enumerate(phases):
         end = start + duration
         in_phase = [r for r in rows if start < r["update"] <= end]
-        if not in_phase:
-            break
         wass = np.array([r["wass1"] for r in in_phase])
         upd = np.array([r["update"] for r in in_phase])
         i_min = int(np.argmin(wass))
@@ -359,14 +357,19 @@ def phase_stats(rows, phases):
 def run_drift(cfg):
     """Run the configured method over the unfairness schedule.
 
-    Evaluates on each phase's held-out subset, resampled to the phase's rates.
-    Returns (trace rows, per-phase stats, final model, dual pairs), with
-    pairs only for COT.
+    Evaluates on each phase's held-out subset, resampled to the phase's
+    rates. trace_every may not exceed the shortest phase, so every phase has
+    a trace row. Returns (trace rows, per-phase stats, final model, dual
+    pairs), with pairs only for COT.
     """
     if cfg.schedule is None:
         raise ValueError("drift run requires a schedule")
     if cfg.method not in OT_METHODS:
         raise ValueError("drift runs support COT and DOT only")
+    shortest = min(int(d) for _, d in cfg.schedule.phases)
+    if cfg.trace_every > shortest:
+        raise ValueError(f"trace_every = {cfg.trace_every} is longer than the "
+                         f"shortest phase ({shortest} updates)")
     train, test, model, target = setup(cfg)
     schedule = _resolve_schedule(cfg, train)
 

@@ -6,10 +6,11 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from otfair.cot import _as_batches, _features, _potentials, _theta_term, alpha
+from otfair.cot import (DivergenceError, DualPair, _as_batches, _ascend,
+                        _features, _objective, _potentials, _theta_term, alpha)
 from otfair.data import Dataset, RowError, Schema, SchemaError
 from otfair.model import LogisticModel, _nll, _nll_grad, score_batch
-from otfair.rff import _grad_rows
+from otfair.rff import _grad_rows, make_rff
 
 
 def survival_gap_integral(a, b):
@@ -273,6 +274,39 @@ def theta_gradient(model, pairs, batches, target_scores, reg, pair_mode):
         grad += _theta_term(pair, Z, s, alpha(reg, pot, np.abs(diff)), diff,
                             pair_mode, _grad_rows(pair.score_side.map, s))
     return grad
+
+
+def estimate_reg_w1(xs_sampler, ys_sampler, cfg):
+    """Estimate the regularized W1 between two sampled distributions by dual
+    ascent alone, with the package's per-batch arithmetic: each batch's
+    features evaluated once, an ascent, then the objective on the new pair.
+
+    Samplers are callables (rng, n) -> array. Runs cfg.num_updates dual
+    ascent steps and returns (running-average dual objective over the second
+    half of the run, final DualPair).
+    """
+    map_seed, stream_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    pair = DualPair.zeros(make_rff(cfg.D, cfg.sigma2, map_seed))
+    rng = np.random.default_rng(stream_seed)
+    acc, count = 0.0, 0
+    for k in range(cfg.num_updates):
+        xs, ys = _as_batches(xs_sampler(rng, cfg.batch_scores),
+                             ys_sampler(rng, cfg.batch_target), cfg.pair_mode)
+        fx, fy, diff = _features(pair.score_side.map, xs, ys, cfg.pair_mode)
+        cost = np.abs(diff)
+        pair = _ascend(pair, cfg.reg, fx, fy,
+                       _potentials(pair, fx, fy, cfg.pair_mode)[2], cost,
+                       cfg.eps_dual, cfg.antisymmetric, cfg.pair_mode)
+        lx, ly, pot = _potentials(pair, fx, fy, cfg.pair_mode)
+        obj = _objective(cfg.reg, lx, ly, pot, cost, cfg.pair_mode,
+                         alpha(cfg.reg, pot, cost))
+        if not np.isfinite(obj) or abs(obj) > 1e12:
+            raise DivergenceError(
+                f"dual objective diverged at update {k}; reduce eps_dual")
+        if k >= cfg.num_updates // 2:
+            acc += float(obj)
+            count += 1
+    return acc / max(count, 1), pair
 
 
 def coupling_cost(c, xs, ys):

@@ -11,8 +11,7 @@ from scipy.optimize import linprog
 
 from otfair import synthetic
 from otfair.cot import (DualPair, OtConfig, Regularizer, cot_run,
-                        dual_objective, dual_update, estimate_reg_w1,
-                        conjugate)
+                        dual_objective, dual_update, conjugate)
 from otfair.data import UnfairnessSchedule
 from otfair.dot import dot_run, optimal_coupling_1d
 from otfair.harness import ExperimentConfig, persist_run, run_drift, \
@@ -21,7 +20,8 @@ from otfair.metrics import (EmpiricalDistribution, err_at_threshold, pooled,
                             sdd, spdd, w1_barycenter, wasserstein1_1d)
 from otfair.model import LogisticModel, score_batch
 from otfair.rff import DualPotential, eval_potential, make_rff
-from oracles import coupling_cost, survival_gap_integral, theta_gradient
+from oracles import (coupling_cost, estimate_reg_w1, survival_gap_integral,
+                     theta_gradient)
 
 
 def lp_transport_cost(xs, ys):

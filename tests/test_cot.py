@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from otfair import cot
+from otfair import cot, dot
 from otfair.cot import (EXP_CLIP, DivergenceError, DualPair, OtConfig,
                         Regularizer, alpha, conjugate, cot_run,
-                        dual_objective, dual_update, estimate_reg_w1,
-                        group_step, theta_update)
+                        dual_objective, dual_update, group_step,
+                        theta_update)
 from otfair.data import Dataset
 from otfair.dot import dot_run
 from otfair.metrics import EmpiricalDistribution
@@ -17,7 +17,7 @@ from otfair.model import LogisticModel, score_batch
 from otfair.rff import DualPotential, RffMap, eval_features, eval_potential, \
     grad_potential_input, make_rff
 
-from oracles import theta_gradient
+from oracles import estimate_reg_w1, theta_gradient
 
 ENT = Regularizer("entropy", 0.5)
 L2 = Regularizer("l2", 0.5)
@@ -556,6 +556,22 @@ def test_fit_rejects_trace_every_below_one(trace_every):
     for run in (cot_run, dot_run):
         with pytest.raises(ValueError, match="trace_every"):
             run(model, _tiny_dataset(), target, cfg, trace_every=trace_every)
+
+
+@pytest.mark.parametrize("empty", [list, lambda: iter(())],
+                         ids=["list", "one-shot"])
+def test_fit_rejects_an_empty_phase_sequence(empty, monkeypatch):
+    # With no phase there is nothing to fit, and COT has no groups to set up.
+    updates = []
+    for mod, name in ((cot, "theta_update"), (dot, "dot_theta_update")):
+        monkeypatch.setattr(mod, name, lambda *args: updates.append(args))
+    model = LogisticModel(np.array([0.2, 0.5, -0.5, 0.0]))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(num_updates=5, batch_scores=8, batch_target=8, seed=1)
+    for run in (cot_run, dot_run):
+        with pytest.raises(ValueError, match="no phases to fit"):
+            run(model, empty(), target, cfg)
+    assert updates == []
 
 
 class _EmptyTarget:

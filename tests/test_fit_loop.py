@@ -15,8 +15,7 @@ import pytest
 
 from otfair import cot, dot
 from otfair.cot import (COT_EPS_THETA, DivergenceError, DualPair, OtConfig,
-                        Regularizer, _iter_phases, alpha, conjugate, cot_run,
-                        estimate_reg_w1)
+                        Regularizer, _iter_phases, alpha, conjugate, cot_run)
 from otfair.data import Dataset
 from otfair.dot import DOT_EPS_THETA, dot_run
 from otfair.metrics import (EmpiricalDistribution, err_at_threshold, sdd, spdd,
@@ -25,7 +24,7 @@ from otfair.model import LogisticModel, score_batch
 from otfair.rff import (DualPotential, eval_features, grad_potential_input,
                         make_rff)
 
-from oracles import loop_coupling_1d
+from oracles import estimate_reg_w1, loop_coupling_1d
 
 
 def ref_pot_sum_and_cost(pair, xs, ys, pair_mode):

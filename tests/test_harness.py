@@ -228,6 +228,34 @@ def test_run_drift_rejects_method_before_setup(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_drift_rejects_trace_every_longer_than_a_phase(drift_config_path,
+                                                      tmp_path, spy_on, capsys):
+    # A phase without a trace row would get no phase_stats entry.
+    trained = spy_on("train_lr")
+    msg = _cli_error(capsys, ["drift", "--config", drift_config_path,
+                              "--trace-every", "21",
+                              "--out", str(tmp_path / "run")])
+    assert msg == ("trace_every = 21 is longer than the shortest phase "
+                   "(20 updates)")
+    assert trained == []
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_drift_methods_write_to_their_own_directories(drift_config_path,
+                                                      tmp_path, monkeypatch):
+    # A DOT drift after a COT drift must not sit beside the COT checkpoint,
+    # which export-duals would then read.
+    monkeypatch.setenv(harness.OUT_ROOT_ENV, str(tmp_path))
+    for method in ("COT", "DOT"):
+        assert cli.main(["drift", "--config", drift_config_path,
+                         "--method", method]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["drift-cot", "drift-dot"]
+    assert os.path.isfile(tmp_path / "drift-cot" / "checkpoint.json")
+    assert not os.path.exists(tmp_path / "drift-dot" / "checkpoint.json")
+    with open(tmp_path / "drift-dot" / "manifest.json") as fh:
+        assert json.load(fh)["method"] == "DOT"
+
+
 def test_run_drift_small(drift_config_path):
     cfg = load_config(drift_config_path)
     rows, stats, model, pairs = run_drift(cfg)
