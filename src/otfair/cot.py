@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,24 +27,8 @@ COT_EPS_THETA = 2e-3  # default parameter step when OtConfig.eps_theta is None
 TARGET_TABLE_BYTES = 32 << 20
 
 # Smallest score-batch stack (G * b * D argument entries) whose sin rows
-# group_step computes on a worker thread, given a second CPU.
+# a fit computes on a worker thread of its own, given a second CPU.
 WORKER_MIN_ENTRIES = 1 << 14
-
-_pool = []  # the one-thread executor, made on first use
-if hasattr(os, "register_at_fork"):  # a forked child has no worker thread
-    os.register_at_fork(after_in_child=_pool.clear)
-
-
-def _offload_grad_rows(m, s):
-    """A future of _grad_rows(m, s) on the worker thread, or None below
-    WORKER_MIN_ENTRIES entries or if this process may use only one CPU."""
-    if s.size * m.num_features < WORKER_MIN_ENTRIES or (
-            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1) < 2:
-        return None
-    if not _pool:
-        _pool.append(ThreadPoolExecutor(max_workers=1))
-    return _pool[0].submit(_grad_rows, m, s)
 
 
 class DivergenceError(RuntimeError):
@@ -60,8 +45,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("entropy", "l2"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if not self.strength > 0:
-            raise ValueError("regularization strength must be positive, "
+        if not 0 < self.strength < np.inf:
+            raise ValueError("strength must be finite and positive, "
                              f"got {self.strength}")
 
 
@@ -111,13 +96,11 @@ class OtConfig:
             raise ValueError(f"D (feature count) must be >= 1, got {self.D}")
         if self.num_updates < 1:
             raise ValueError(f"num_updates must be >= 1, got {self.num_updates}")
-        for name in ("sigma2", "eps_dual"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, "
-                                 f"got {getattr(self, name)}")
-        if self.eps_theta is not None and not self.eps_theta > 0:
-            raise ValueError(f"eps_theta must be positive or None, "
-                             f"got {self.eps_theta}")
+        for name in ("sigma2", "eps_dual", "eps_theta"):
+            value = getattr(self, name)
+            if not (value is None and name == "eps_theta" or 0 < value < np.inf):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value}")
         if self.pair_mode not in PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {PAIR_MODES}")
         if self.pair_mode == "diagonal" and self.batch_scores != self.batch_target:
@@ -225,7 +208,7 @@ def _theta_term(pair, Z, s, a, diff, pair_mode, rows):
 
 
 def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode,
-               fy=None):
+               fy=None, pool=None):
     """One COT update for one dual pair or a stack of G, with each batch's
     features evaluated once.
 
@@ -235,10 +218,11 @@ def group_step(pair, reg, Z, s, sbar, eps_dual, antisymmetric, pair_mode,
     the pair, then evaluates on the new potentials the dual objective and
     the gradient term: the arithmetic of dual_update, then dual_objective on
     the new pair. Returns (new pair, objective, term); for a stack, (G,) and
-    (G, d). The term's sin rows need only s and the map, so a worker thread
-    may compute them while this one ascends (_offload_grad_rows).
+    (G, d). The term's sin rows need only s and the map, so pool, an
+    executor or None (inline), may compute them while this thread ascends.
     """
-    job = _offload_grad_rows(pair.score_side.map, s)
+    job = None if pool is None else pool.submit(_grad_rows,
+                                                pair.score_side.map, s)
     fx, fy, diff = _features(pair.score_side.map, s, sbar, pair_mode, fy)
     cost = np.abs(diff)
     pair = _ascend(pair, reg, fx, fy, _potentials(pair, fx, fy, pair_mode)[2],
@@ -372,10 +356,10 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
     gradient terms), then one theta_update on the summed gradient. The
     target batch's features are gathered from a table of the features of
     every target sample unless that table would exceed TARGET_TABLE_BYTES;
-    either way they are the same bits. Dual pairs are kept across phase
-    shifts, so every phase must have the first phase's groups. The checks,
-    pairs and table come before the first update. Returns (final model,
-    trace rows, final dual pairs by group key). Deterministic under cfg.seed.
+    either way they are the same bits. Dual pairs are kept across phase shifts,
+    so every phase must have the first phase's groups. The checks, pairs, table
+    and worker come before the first update. Returns (final model, trace rows,
+    final dual pairs by group key). Deterministic under cfg.seed.
     """
     phases = _fit_phases(data, target, trace_every)
     keys = phases[0][0].group_keys
@@ -396,6 +380,9 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
                                   maps[0].sigma2))
     table = (eval_features(state.score_side.map, target.samples)
              if len(keys) * target.n * cfg.D * 8 <= TARGET_TABLE_BYTES else None)
+    threaded = len(keys) * cfg.batch_scores * cfg.D >= WORKER_MIN_ENTRIES and (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1) >= 2
     objs = {}
 
     def step(model, idx, phase_keys, Z, s):
@@ -403,14 +390,15 @@ def cot_run(model, data, target, cfg, trace_every=50, include_sensitive=True):
         state, obj, terms = group_step(
             state, cfg.reg, Z, s, target.samples[idx], cfg.eps_dual,
             cfg.antisymmetric, cfg.pair_mode,
-            None if table is None else _target_features(table, idx))
+            None if table is None else _target_features(table, idx), pool)
         objs.update(zip(keys, obj.tolist()))
         if not np.isfinite(obj).all() or np.abs(obj).max() > 1e12:
             raise DivergenceError("dual objective diverged; reduce eps_dual")
         return theta_update(model, terms.sum(axis=0), eps_theta / pairing_count)
 
-    model, trace = _fit_loop(model, phases, target, cfg, trace_every,
-                             include_sensitive, step, objs)
+    with ThreadPoolExecutor(1) if threaded else nullcontext() as pool:
+        model, trace = _fit_loop(model, phases, target, cfg, trace_every,
+                                 include_sensitive, step, objs)
     return model, trace, {
         key: DualPair(DualPotential(state.score_side.coeffs[g], m),
                       DualPotential(state.target_side.coeffs[g], m))

@@ -197,7 +197,12 @@ def group_score_distributions(ds, model, include_sensitive=True):
 
 def build_target(ds, model, spec, include_sensitive=True):
     """Target score distribution from the trained model on a dataset."""
-    s, dists = group_score_distributions(ds, model, include_sensitive)
+    return _target(ds, *group_score_distributions(ds, model, include_sensitive),
+                   spec)
+
+
+def _target(ds, s, dists, spec):
+    """build_target from group_score_distributions(ds, model) = (s, dists)."""
     if spec == "barycenter":
         return w1_barycenter(dists)
     if spec == "pooled":
@@ -229,9 +234,9 @@ def _resolve_schedule(cfg, ds):
 
 
 def setup(cfg):
-    """(train, test, LR model, target): the start of every run and drift.
-    Group selectors, and for DPP the test groups, are checked on the split
-    before training: fail fast."""
+    """(train, test, LR model, target, training-score distributions): the
+    start of every run and drift. Group selectors, and for DPP the test
+    groups, are checked on the split before training: fail fast."""
     train, test = _load_and_split(cfg)
     if cfg.target.startswith("group:"):
         _match_groups(train, cfg.target[len("group:"):])
@@ -243,8 +248,8 @@ def setup(cfg):
                     test.sensitive_names, test.sensitive_levels, k))
                 raise ValueError(f"DPP: test group {k} ({name}) has no training rows")
     model = train_lr(train, cfg.lr_l2, include_sensitive=cfg.include_sensitive)
-    target = build_target(train, model, cfg.target, cfg.include_sensitive)
-    return train, test, model, target
+    s, dists = group_score_distributions(train, model, cfg.include_sensitive)
+    return train, test, model, _target(train, s, dists, cfg.target), dists
 
 
 def _fit_ot(cfg, model, data, target, ot):
@@ -258,7 +263,7 @@ def _fit_ot(cfg, model, data, target, ot):
     return final, rows, None
 
 
-def fit_and_evaluate(cfg, train, test, model, target):
+def fit_and_evaluate(cfg, train, test, model, target, train_dists):
     """Dispatch cfg.method from a set-up and evaluate on test: (trace rows,
     metrics row, final model, dual pairs), with pairs only for COT."""
     final, rows, pairs = model, [], None
@@ -267,8 +272,6 @@ def fit_and_evaluate(cfg, train, test, model, target):
     s_test = score_batch(final, test.design_matrix(
         include_sensitive=cfg.include_sensitive))
     if cfg.method == "DPP":
-        _, train_dists = group_score_distributions(train, model,
-                                                   cfg.include_sensitive)
         qmap = dpp_mod.fit_dpp({k: d.samples for k, d in train_dists.items()},
                                target)
         for k, idx in test.groups.items():
@@ -370,7 +373,7 @@ def run_drift(cfg):
     if cfg.trace_every > shortest:
         raise ValueError(f"trace_every = {cfg.trace_every} is longer than the "
                          f"shortest phase ({shortest} updates)")
-    train, test, model, target = setup(cfg)
+    train, test, model, target, _ = setup(cfg)
     schedule = _resolve_schedule(cfg, train)
 
     train_seeds = np.random.SeedSequence(cfg.ot.seed).spawn(len(schedule.phases))

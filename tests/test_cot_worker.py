@@ -1,14 +1,14 @@
 """group_step's worker thread: the score batch's sin rows computed on one
 worker thread must give the bits of the inline path, leave every traced
-function on the main thread, never hold up the step, stay off on one CPU
-and survive a fork."""
+function on the main thread, never hold up the step, stay off on one CPU,
+work in a forked child and end with its fit."""
 import os
 import signal
 import sys
 import threading
 import time
 
-from concurrent.futures import wait
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -30,45 +30,68 @@ NEVER = 1 << 62  # a WORKER_MIN_ENTRIES no stack reaches
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(n) makes this process see n CPUs, with or without affinity."""
-    def see(n):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(n)), raising=False)
+    """cpus(n) makes this process see n CPUs, through its affinity mask or,
+    with affinity=False, through os.cpu_count alone. It returns the list of
+    the affinity queries made."""
+    asked = []
+
+    def see(n, affinity=True):
+        def mask(pid):
+            asked.append(pid)
+            return set(range(n))
+
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", mask, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: n)
+        return asked
     return see
 
 
 @pytest.fixture
 def threaded(monkeypatch, cpus):
-    """Every group_step offloads its sin rows, whatever this host's CPUs."""
+    """Every fit offloads its sin rows, whatever this host's CPUs."""
     cpus(2)
     monkeypatch.setattr(cot, "WORKER_MIN_ENTRIES", 0)
 
 
 @pytest.fixture
-def on_worker(monkeypatch, threaded):
-    """The step never waits on the worker, so on these small stacks it could
-    take either thread's rows. This lets each job finish before the step
-    goes on, so every step takes the worker's rows."""
-    real = cot._offload_grad_rows
+def pools(monkeypatch):
+    """The executors cot_run makes, in order. The step never waits on the
+    worker, so on these small stacks it could take either thread's rows;
+    each job given to these finishes before submit returns, so every step
+    takes the worker's rows."""
+    made = []
 
-    def finished(m, s):
-        job = real(m, s)
-        if job is not None:
+    class Finishing(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            job = super().submit(fn, *args, **kwargs)
             wait([job])
-        return job
+            return job
 
-    monkeypatch.setattr(cot, "_offload_grad_rows", finished)
+    monkeypatch.setattr(cot, "ThreadPoolExecutor", Finishing)
+    return made
 
 
-def _dataset(seed, n=120):
-    """Three groups from one sensitive column, two features."""
+@pytest.fixture
+def on_worker(threaded, pools):
+    """Every group_step takes its sin rows from the fit's worker thread."""
+    return pools
+
+
+def _dataset(seed, n=120, groups=3):
+    """`groups` groups from one sensitive column, two features."""
     rng = np.random.default_rng(seed)
-    A = rng.integers(0, 3, size=(n, 1))
+    A = rng.integers(0, groups, size=(n, 1))
     X = rng.normal(size=(n, 2))
     y = (rng.random(n) < 0.2 + 0.25 * A[:, 0]).astype(int)
     y[:2] = [0, 1]
-    return Dataset(A, X, y, ["x0", "x1"], ["g"], [["a", "b", "c"]])
+    return Dataset(A, X, y, ["x0", "x1"], ["g"], [["a", "b", "c"][:groups]])
 
 
 def _data(shape):
@@ -119,9 +142,9 @@ def test_threaded_and_inline_fits_are_identical(monkeypatch, on_worker, reg,
     assert on_worker == inline
 
 
-def test_threaded_nan_objective_names_the_update(monkeypatch, on_worker):
-    # As on the inline path: the fourth alpha call is on update 2's new
-    # potentials, and a NaN there makes the objectives NaN.
+def _nan_on_update_2(monkeypatch):
+    """As on the inline path: the fourth alpha call is on update 2's new
+    potentials, and a NaN there makes the objectives NaN."""
     real, calls = cot.alpha, []
 
     def nan_on_fourth(*args):
@@ -130,6 +153,10 @@ def test_threaded_nan_objective_names_the_update(monkeypatch, on_worker):
         return out * np.nan if len(calls) == 4 else out
 
     monkeypatch.setattr(cot, "alpha", nan_on_fourth)
+
+
+def test_threaded_nan_objective_names_the_update(monkeypatch, on_worker):
+    _nan_on_update_2(monkeypatch)
     threads = _grad_row_threads(monkeypatch)
     cfg = OtConfig(num_updates=5, batch_scores=8, batch_target=8, seed=1)
     with pytest.raises(DivergenceError, match=r"update 2\b.*dual objective"):
@@ -177,25 +204,33 @@ def test_traced_functions_run_on_the_main_thread(monkeypatch, on_worker):
     assert threading.main_thread() not in threads
 
 
-def test_one_cpu_creates_no_worker(monkeypatch, cpus):
-    cpus(1)
+@pytest.mark.parametrize("affinity", [True, False],
+                         ids=["affinity", "cpu_count"])
+def test_one_cpu_creates_no_worker(monkeypatch, cpus, pools, affinity):
+    cpus(1, affinity)
     monkeypatch.setattr(cot, "WORKER_MIN_ENTRIES", 0)
-    monkeypatch.setattr(cot, "_pool", [])
     threads = _grad_row_threads(monkeypatch)
     cfg = OtConfig(D=12, num_updates=6, batch_scores=8, batch_target=8, seed=3)
     cot_run(MODEL, _dataset(0), TARGET, cfg)
-    assert cot._pool == []
+    assert pools == []
     assert threads == [threading.main_thread()] * 6
 
 
-def test_the_stack_offloads_from_the_threshold_on(cpus):
-    # 128 scores x 128 features are the default 2**14 entries; 127 are not.
-    cpus(2)
-    m = make_rff(128, 0.1, 0)
-    assert cot._offload_grad_rows(m, np.full((4, 32), 0.5)) is not None
-    assert cot._offload_grad_rows(m, np.full((127,), 0.5)) is None
-    cpus(1)
-    assert cot._offload_grad_rows(m, np.full((4, 32), 0.5)) is None
+@pytest.mark.parametrize("n_cpus,D,offloads", [(2, 128, True),
+                                               (2, 127, False),
+                                               (1, 128, False)])
+def test_a_fit_offloads_from_the_threshold_on(monkeypatch, cpus, pools,
+                                              n_cpus, D, offloads):
+    # 2 groups x batch 64 x 128 features are the default 2**14 entries;
+    # 127 features are not. The fit decides once, before its first update.
+    asked = cpus(n_cpus)
+    threads = _grad_row_threads(monkeypatch)
+    cfg = OtConfig(D=D, num_updates=4, batch_scores=64, batch_target=8, seed=3)
+    cot_run(LogisticModel(MODEL.theta[:4]), _dataset(0, groups=2), TARGET, cfg)
+    assert len(pools) == offloads
+    assert len(threads) == 4
+    assert (threading.main_thread() not in threads) == offloads
+    assert len(asked) <= 1
 
 
 def _step_args():
@@ -212,58 +247,83 @@ def _step_args():
             True, "full")
 
 
-def _step_bytes(args):
-    pair, obj, term = group_step(*args)
+def _step_bytes(args, pool=None):
+    pair, obj, term = group_step(*args, None, pool)
     return (pair.score_side.coeffs.tobytes(), pair.target_side.coeffs.tobytes(),
             obj.tobytes(), term.tobytes())
 
 
 @pytest.mark.parametrize("held", ["queued", "running"])
-def test_the_step_does_not_wait_on_a_held_up_worker(monkeypatch, threaded,
-                                                    held):
+def test_the_step_does_not_wait_on_a_held_up_worker(monkeypatch, held):
     # A worker the host has not run yet, or is still running, costs the
     # step one inline pass, not a wait: a job it has not started is
     # dropped, and one it has not finished is not waited for.
     args = _step_args()
-    expect = _step_bytes(args)  # this also starts the worker
-    gate, real, jobs = threading.Event(), cot._grad_rows, []
-    real_offload = cot._offload_grad_rows
+    expect = _step_bytes(args)  # inline
+    gate, real = threading.Event(), cot._grad_rows
 
     def held_rows(m, s):
         if threading.current_thread() is not threading.main_thread():
             gate.wait(60.0)
         return real(m, s)
 
-    def offload(m, s):
-        jobs.append(real_offload(m, s))
-        return jobs[-1]
-
     monkeypatch.setattr(cot, "_grad_rows", held_rows)
-    monkeypatch.setattr(cot, "_offload_grad_rows", offload)
-    blocker = cot._pool[0].submit(gate.wait, 60.0) if held == "queued" else None
-    try:
-        got = _step_bytes(args)
-        if held == "queued":
-            assert jobs[0].cancelled() and not blocker.done()
-        else:
-            assert jobs[0].cancelled() or jobs[0].running()
-    finally:
-        gate.set()
+    with ThreadPoolExecutor(1) as pool:
+        blocker = pool.submit(gate.wait, 60.0) if held == "queued" else None
+        jobs, submit = [], pool.submit
+
+        def recorded(*call):
+            jobs.append(submit(*call))
+            return jobs[-1]
+
+        monkeypatch.setattr(pool, "submit", recorded)
+        try:
+            got = _step_bytes(args, pool)
+            if held == "queued":
+                assert jobs[0].cancelled() and not blocker.done()
+            else:
+                assert jobs[0].cancelled() or jobs[0].running()
+        finally:
+            gate.set()
     assert got == expect
 
 
+@pytest.mark.parametrize("outcome", ["returns", "raises"])
+def test_no_thread_outlives_the_fit(monkeypatch, on_worker, outcome):
+    # The fit's worker ends with the fit, whether it returns or diverges.
+    before = set(threading.enumerate())
+    threads = _grad_row_threads(monkeypatch)
+    cfg = OtConfig(D=12, num_updates=6, batch_scores=8, batch_target=8, seed=1)
+    if outcome == "raises":
+        _nan_on_update_2(monkeypatch)
+        with pytest.raises(DivergenceError, match=r"update 2\b"):
+            cot_run(MODEL, _dataset(0), TARGET, cfg)
+    else:
+        cot_run(MODEL, _dataset(0), TARGET, cfg)
+    assert threads and threading.main_thread() not in threads
+    assert not any(thread.is_alive() for thread in threads)
+    assert set(threading.enumerate()) <= before
+    assert len(on_worker) == 1
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
-def test_a_forked_child_makes_its_own_worker(monkeypatch, on_worker):
-    # The child inherits the parent's executor but not its thread, so a job
-    # submitted to it would never run; the child must start its own worker.
-    args = _step_args()
-    expect = _step_bytes(args)
-    assert cot._pool
+def test_a_forked_child_runs_a_threaded_fit(monkeypatch, on_worker):
+    # A child forked after a threaded fit starts a worker of its own for
+    # its fit, and gets the parent's bits.
+    cfg = OtConfig(D=12, num_updates=10, batch_scores=8, batch_target=8,
+                   seed=5)
+    threads = _grad_row_threads(monkeypatch)
+    expect = _fit_bytes(cfg, "dataset")
+    assert len(on_worker) == 1
+    assert len(threads) == 10 and threading.main_thread() not in threads
     pid = os.fork()
     if pid == 0:
         status = 2
         try:
-            status = 0 if _step_bytes(args) == expect else 1
+            del threads[:]
+            got = _fit_bytes(cfg, "dataset")
+            status = 0 if (got == expect and len(threads) == 10 and
+                           threading.main_thread() not in threads) else 1
         finally:
             os._exit(status)
     deadline = time.monotonic() + 30.0
@@ -274,8 +334,8 @@ def test_a_forked_child_makes_its_own_worker(monkeypatch, on_worker):
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child's threaded step did not finish")
+            pytest.fail("the forked child's threaded fit did not finish")
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status) == 0
     monkeypatch.setattr(cot, "WORKER_MIN_ENTRIES", NEVER)
-    assert _step_bytes(args) == expect
+    assert _fit_bytes(cfg, "dataset") == expect

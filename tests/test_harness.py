@@ -508,6 +508,16 @@ def test_dpp_rejects_a_test_group_without_training_rows(tmp_path, spy_on,
                      "--out", str(out)]) == 0
 
 
+def test_dpp_run_scores_the_training_rows_once(config_path, tmp_path, spy_on):
+    # The set-up scores the training rows for the target; DPP maps from
+    # those scores, so the run scores them once, then the test rows.
+    scored = spy_on("score_batch")
+    assert cli.main(["run", "--config", config_path, "--method", "DPP",
+                     "--out", str(tmp_path / "dpp")]) == 0
+    train, test = harness._load_and_split(load_config(config_path))
+    assert [Z.shape[0] for _, Z in scored] == [train.n, test.n]
+
+
 def test_readme_option_table_is_the_cli_option_keys():
     with open(os.path.join(ROOT, "README.md")) as fh:
         cells = [line.split("|")[1:3] for line in fh
@@ -557,9 +567,13 @@ def test_experiment_config_rejects_trace_every_below_one(small_csv, tmp_path,
 @pytest.mark.parametrize("field,key,value", [
     ("D", "rff_features", 0),
     ("sigma2", "kernel_variance", 0.0),
+    ("sigma2", "kernel_variance", np.inf),
     ("eps_dual", "eps_dual", -0.01),
+    ("eps_dual", "eps_dual", np.inf),
     ("eps_theta", "eps_theta", 0.0),
+    ("eps_theta", "eps_theta", np.inf),
     ("num_updates", "updates", -5),
+    ("strength", "reg_strength", np.inf),
 ])
 def test_bad_solver_settings_fail_before_training(small_csv, tmp_path,
                                                   config_path, spy_on, field,
@@ -567,7 +581,10 @@ def test_bad_solver_settings_fail_before_training(small_csv, tmp_path,
     trained = spy_on("train_lr")
     match = rf"^{field}\b.* got {re.escape(str(value))}$"
     with pytest.raises(ValueError, match=match):
-        OtConfig(**{field: value})
+        if field == "strength":  # the regularizer's field
+            Regularizer("entropy", value)
+        else:
+            OtConfig(**{field: value})
     p = tmp_path / "bad.ini"
     text = _config_text(small_csv)
     if key == "updates":
