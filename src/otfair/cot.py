@@ -291,9 +291,8 @@ def _fit_phases(data, target, trace_every):
     return phases
 
 
-def _eval_row(update, model, eval_data, target, include_sensitive, objs):
-    s = score_batch(model, eval_data.design_matrix(include_sensitive=include_sensitive))
-    m = evaluate(eval_data, s, target)
+def _eval_row(update, model, eval_data, Z_eval, target, objs):
+    m = evaluate(eval_data, score_batch(model, Z_eval), target)
     row = {"update": update, "wass1": m["wass1"], "err05": m["err05"],
            "sdd": m["sdd"], "spdd": m["spdd"]}
     for k in sorted(objs):
@@ -324,8 +323,9 @@ def _fit_loop(model, phases, target, cfg, trace_every, include_sensitive,
         Z_all = phase_data.design_matrix(np.concatenate(members),
                                          include_sensitive=include_sensitive)
         ev = phase_eval if phase_eval is not None else phase_data
+        Z_ev = ev.design_matrix(include_sensitive=include_sensitive)
         if k_total == 0:
-            trace.append(_eval_row(0, model, ev, target, include_sensitive, objs))
+            trace.append(_eval_row(0, model, ev, Z_ev, target, objs))
         left = cfg.num_updates - k_total
         for _ in range(left if duration is None else min(duration, left)):
             k_total += 1
@@ -341,8 +341,7 @@ def _fit_loop(model, phases, target, cfg, trace_every, include_sensitive,
                     f"model parameters diverged at update {k_total}; "
                     "reduce eps_theta")
             if k_total % trace_every == 0:
-                trace.append(_eval_row(k_total, model, ev, target,
-                                       include_sensitive, objs))
+                trace.append(_eval_row(k_total, model, ev, Z_ev, target, objs))
         if k_total >= cfg.num_updates:
             break
     return model, trace

@@ -66,8 +66,9 @@ def _nll(theta, Z, y, l2, penalize):
     return nll + 0.5 * l2 * (w @ w)
 
 
-def _nll_grad(theta, Z, y, l2, penalize):
-    p = sigmoid(Z @ theta)
+def _nll_grad(theta, Z, y, l2, penalize, p=None):
+    """The gradient of _nll at theta; p is sigmoid(Z @ theta) if known."""
+    p = sigmoid(Z @ theta) if p is None else p
     return Z.T @ (p - y) + l2 * theta * penalize
 
 
@@ -90,11 +91,11 @@ def train_lr(d, l2_strength=1.0, include_sensitive=True):
     penalize[-1] = 0.0  # intercept
     args = (Z, y, l2_strength, penalize)
     theta = np.zeros(Z.shape[1])
-    loss, grad = _nll(theta, *args), _nll_grad(theta, *args)
+    p = sigmoid(Z @ theta)  # scores at theta, for its gradient and Hessian
+    loss, grad = _nll(theta, *args), _nll_grad(theta, *args, p)
     for _ in range(LR_MAX_ITERS):
         if np.abs(grad).max() <= LR_TOL:
             break
-        p = sigmoid(Z @ theta)
         hess = (Z.T * (p * (1.0 - p))) @ Z + np.diag(l2_strength * penalize)
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]  # minimum norm if singular
         t, slope = 1.0, grad @ step  # halve t until the Armijo condition holds
@@ -104,6 +105,7 @@ def train_lr(d, l2_strength=1.0, include_sensitive=True):
         if not new < loss:
             break
         theta, loss = theta + t * step, new
-        grad = _nll_grad(theta, *args)
+        p = sigmoid(Z @ theta)
+        grad = _nll_grad(theta, *args, p)
     converged = bool(np.abs(grad).max() <= max(LR_TOL, 1e-6))
     return LogisticModel(theta, names, converged=converged)

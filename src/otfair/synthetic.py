@@ -7,8 +7,6 @@ experiment harness can run end to end.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 SCHEMA = {
@@ -51,14 +49,14 @@ def write_csv(path, n, seed=0):
     capital = y * rng.normal(2.25, 1.2, n) + rng.normal(0, 2.0, n)
     workclass = rng.choice(["private", "public", "self"], size=n,
                            p=[0.7, 0.2, 0.1])
-    columns = [("{:.2f}", age), ("{:.2f}", edu), ("{:.2f}", hours), ("{:.3f}", capital),
-               ("{}", workclass), ("{}", races), ("{}", genders),
-               ("{}", np.where(y == 1, ">50K", "<=50K"))]
+    # A record as csv.writer writes it: no field holds a delimiter, a quote
+    # or a line end, so none is quoted.
+    row = "%.2f,%.2f,%.2f,%.3f,%s,%s,%s,%s\r\n"
+    columns = [age, edu, hours, capital, workclass, races, genders,
+               np.where(y == 1, ">50K", "<=50K")]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HEADER)
+        fh.write(",".join(HEADER) + "\r\n")
         for start in range(0, n, BLOCK_ROWS):
-            writer.writerows(zip(*(
-                map(fmt.format, col[start:start + BLOCK_ROWS].tolist())
-                for fmt, col in columns)))
+            fh.write("".join(map(row.__mod__, zip(*(
+                col[start:start + BLOCK_ROWS].tolist() for col in columns)))))
     return path

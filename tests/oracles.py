@@ -9,7 +9,8 @@ from scipy.optimize import minimize
 from otfair.cot import (DivergenceError, DualPair, _as_batches, _ascend,
                         _features, _objective, _potentials, _theta_term, alpha)
 from otfair.data import Dataset, RowError, Schema, SchemaError
-from otfair.model import LogisticModel, _nll, _nll_grad, score_batch
+from otfair.model import (LR_MAX_ITERS, LR_TOL, LogisticModel, _nll, _nll_grad,
+                          score_batch, sigmoid)
 from otfair.rff import _grad_rows, make_rff
 
 
@@ -228,6 +229,36 @@ def train_lr_lbfgsb(d, l2_strength=1.0):
                    jac=_nll_grad, method="L-BFGS-B",
                    options={"maxiter": 500, "gtol": 1e-8, "ftol": 0.0})
     return LogisticModel(res.x, d.design_names())
+
+
+def train_lr_two_sigmoids(d, l2_strength=1.0, include_sensitive=True):
+    """otfair.model.train_lr's damped Newton loop as it was when each
+    iteration scored the rows twice at the same theta: once for the gradient
+    and again for the Hessian. The library must return the same bits."""
+    Z = d.design_matrix(include_sensitive=include_sensitive)
+    names = d.design_names(include_sensitive=include_sensitive)
+    y = d.y.astype(float)
+    penalize = np.ones(Z.shape[1])
+    penalize[-1] = 0.0  # intercept
+    args = (Z, y, l2_strength, penalize)
+    theta = np.zeros(Z.shape[1])
+    loss, grad = _nll(theta, *args), _nll_grad(theta, *args)
+    for _ in range(LR_MAX_ITERS):
+        if np.abs(grad).max() <= LR_TOL:
+            break
+        p = sigmoid(Z @ theta)
+        hess = (Z.T * (p * (1.0 - p))) @ Z + np.diag(l2_strength * penalize)
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        t, slope = 1.0, grad @ step
+        while ((new := _nll(theta + t * step, *args)) > loss + 1e-4 * t * slope
+               and t > 1e-10):
+            t *= 0.5
+        if not new < loss:
+            break
+        theta, loss = theta + t * step, new
+        grad = _nll_grad(theta, *args)
+    converged = bool(np.abs(grad).max() <= max(LR_TOL, 1e-6))
+    return LogisticModel(theta, names, converged=converged)
 
 
 def design_matrix_hstack(d, indices=None, include_sensitive=True):

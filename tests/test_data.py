@@ -450,11 +450,16 @@ def test_load_meets_late_rows_in_later_blocks_as_the_rowwise_loader(
 
 
 @pytest.mark.parametrize("n,seed,digest", [
+    (0, 0, "a73bbf6d2c8a14ab1dd39b88bbff7d5733771942349cbac89a2ed84b15f7628f"),
+    (1, 1, "05ee43097c36b6fe9702e3848c626a5e40d2b812c0aaa9f90e1dc18d9718e065"),
+    (1024, 1, "ce0c0c1f39fc0dffbd76b4f101c7575e2570a11ab2b8968826882226fb15a417"),
+    (1025, 2, "b36f73ca447204855b1f071e185b88d14e74aea321793035b70747c223c129f0"),
     (20_003, 2, "6ed034f59914ce11e0f986a97cea6747aabb5af6ae9d1998152cfd413550e698"),
     (100_000, 1, "12f9257ff23bb055db3c1dd5f81b2da44f5b6a5ee501c501fc69dcd4e15d5ad2"),
 ])
 def test_synthetic_file_bytes_are_pinned_across_blocks(tmp_path, n, seed, digest):
-    # Many writer blocks, the last one partial.
+    # The header alone, one row, one full block, one row past it, and many
+    # blocks with the last one partial.
     path = tmp_path / "census.csv"
     synthetic.write_csv(path, n, seed=seed)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

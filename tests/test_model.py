@@ -11,7 +11,7 @@ from otfair import model as model_mod
 from otfair.data import Dataset
 from otfair.model import (DegenerateLabelsError, LogisticModel, score_batch,
                           sigmoid, train_lr, _nll, _nll_grad)
-from oracles import sigmoid_two_branch, train_lr_lbfgsb
+from oracles import sigmoid_two_branch, train_lr_lbfgsb, train_lr_two_sigmoids
 
 
 def _toy(n=400, seed=0):
@@ -21,6 +21,17 @@ def _toy(n=400, seed=0):
     logits = 1.5 * X[:, 0] - 1.0 * X[:, 1] + 0.5 * A[:, 0] - 0.2
     y = (rng.random(n) < sigmoid(logits)).astype(int)
     return Dataset(A, X, y, ["x0", "x1"], ["g"], [["a", "b"]])
+
+
+def _with_zero_column(ds):
+    X = np.column_stack([ds.X, np.zeros(ds.n)])
+    return Dataset(ds.A, X, ds.y, [*ds.feature_names, "zero"], ds.sensitive_names,
+                   ds.sensitive_levels)
+
+
+def _separable(ds):
+    return Dataset(ds.A, ds.X, (ds.X[:, 0] > 0).astype(int), ds.feature_names,
+                   ds.sensitive_names, ds.sensitive_levels)
 
 
 def _objective(ds, l2=1.0):
@@ -111,6 +122,26 @@ def test_train_stops_well_before_the_iteration_cap(census_split, monkeypatch):
     assert not train_lr(train).converged
 
 
+@pytest.mark.parametrize("make,kwargs", [
+    pytest.param(_toy, {}, id="toy"),
+    pytest.param(lambda: _toy(4000), {"l2_strength": 0.1}, id="toy-4000-l2-0.1"),
+    pytest.param(lambda: _with_zero_column(_toy()), {"l2_strength": 0.0},
+                 id="zero-column-l2-0"),
+    pytest.param(lambda: _separable(_toy()), {"l2_strength": 0.0}, id="separable-l2-0"),
+    pytest.param(None, {}, id="census"),
+    pytest.param(None, {"include_sensitive": False}, id="census-without-sensitive"),
+])
+def test_train_is_bit_identical_to_the_two_sigmoid_loop(census_split, make, kwargs):
+    # Scoring the rows once per accepted theta, for both the gradient and the
+    # Hessian, must not change a bit of the fit.
+    ds = census_split[0] if make is None else make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, ref = train_lr(ds, **kwargs), train_lr_two_sigmoids(ds, **kwargs)
+    assert m.theta.tobytes() == ref.theta.tobytes()
+    assert (m.names, m.converged) == (ref.names, ref.converged)
+
+
 def test_nll_grad_matches_finite_differences():
     ds = _toy(50)
     Z, y, l2, penalize = _objective(ds)
@@ -133,10 +164,7 @@ def test_train_deterministic():
 
 
 def test_train_without_penalty_keeps_an_all_zero_column_at_zero():
-    ds = _toy()
-    X = np.column_stack([ds.X, np.zeros(ds.n)])
-    ds = Dataset(ds.A, X, ds.y, ["x0", "x1", "zero"], ds.sensitive_names,
-                 ds.sensitive_levels)
+    ds = _with_zero_column(_toy())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m = train_lr(ds, l2_strength=0.0)  # the Hessian is singular
@@ -146,9 +174,7 @@ def test_train_without_penalty_keeps_an_all_zero_column_at_zero():
 
 
 def test_train_without_penalty_on_separable_data_returns_a_finite_model():
-    ds = _toy()
-    ds = Dataset(ds.A, ds.X, (ds.X[:, 0] > 0).astype(int), ds.feature_names,
-                 ds.sensitive_names, ds.sensitive_levels)
+    ds = _separable(_toy())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m = train_lr(ds, l2_strength=0.0)  # no finite optimum
