@@ -281,13 +281,18 @@ def _iter_phases(data):
 
 
 def _fit_phases(data, target, trace_every):
-    """Check a fit's inputs; return the phases of `data` (_iter_phases)."""
+    """Check a fit's inputs; return the phases of `data` (_iter_phases).
+    A phase's duration is None (the rest of the run) or at least 1."""
     if trace_every < 1:
         raise ValueError(f"trace_every must be >= 1, got {trace_every}")
     if target.n < 1:
         raise ValueError("target distribution is empty")
     if not (phases := _iter_phases(data)):
         raise ValueError("no phases to fit")
+    for k, (_, duration, _) in enumerate(phases):
+        if duration is not None and duration < 1:
+            raise ValueError(f"phase {k} has duration {duration}; "
+                             "a phase must run at least 1 update")
     return phases
 
 

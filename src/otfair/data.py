@@ -3,11 +3,10 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -15,8 +14,9 @@ GroupKey = tuple  # tuple of int codes, one per sensitive column
 
 # Data rows parsed at a time: only one block's cells exist as Python strings.
 BLOCK_ROWS = 1024
-_LINE = re.compile("[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")  # as str.splitlines cuts
-_NL_LINE = re.compile("[^\n]*\n|[^\n]+")  # as io.StringIO(text) cuts
+# role -> the encodings a column of that role may have ('auto' is the default)
+ENCODINGS = {"feature": ("auto", "numeric", "categorical"),
+             "sensitive": ("auto", "codes", "median"), "label": ("auto",)}
 
 
 class SchemaError(ValueError):
@@ -46,7 +46,8 @@ class ColumnSpec:
     role: 'feature', 'sensitive' or 'label'.
     encoding: for features, 'numeric' or 'categorical';
               for sensitive columns, 'codes' (categorical levels) or
-              'median' (numeric thresholded at the median).
+              'median' (numeric thresholded at the median);
+              'auto' for any role (ENCODINGS).
     """
 
     name: str
@@ -54,8 +55,12 @@ class ColumnSpec:
     encoding: str = "auto"
 
     def __post_init__(self):
-        if self.role not in ("feature", "sensitive", "label"):
+        if self.role not in ENCODINGS:
             raise SchemaError(f"unknown role {self.role!r} for column {self.name!r}")
+        if self.encoding not in ENCODINGS[self.role]:
+            raise SchemaError(
+                f"unknown {self.role} encoding {self.encoding!r} for column "
+                f"{self.name!r}; expected one of {', '.join(ENCODINGS[self.role])}")
 
 
 @dataclass
@@ -231,27 +236,31 @@ def _levels(vals):
     return levels, np.fromiter(map(lut.__getitem__, vals), int, len(vals))
 
 
+def _rows(path, delimiter):
+    """The cells of each non-blank line of the file at path, streamed. Lines
+    are cut as in the whole text by csv.reader, or for whitespace by splitlines()."""
+    with open(path, newline="\n") as fh:  # '\n' ends a line and stays in it
+        if not (line := next(filter(str.strip, fh), "")):
+            raise ValueError(f"empty input file: {path}")
+        if delimiter is None:  # None -> whitespace split
+            delimiter = "," if "," in next(filter(str.strip, line.splitlines())) else None
+        fh.seek(0)  # then splitlines() per line: no '\r\n' straddles two '\n' lines
+        rows = (map(str.split, chain.from_iterable(map(str.splitlines, fh)))
+                if delimiter is None else csv.reader(fh, delimiter=delimiter))
+        yield from (r for r in rows if any(map(str.strip, r)))
+
+
 def load_dataset(path, schema, delimiter=None):
     """Load a delimited text file with a header row into a Dataset.
 
     Numeric features are standardized to zero mean / unit variance on the
     loaded split; categorical features are one-hot encoded (then left as 0/1
     columns). Rows with missing cells ('' or '?') are dropped. The text is
-    parsed BLOCK_ROWS rows at a time.
+    streamed (_rows) and parsed BLOCK_ROWS rows at a time.
     """
     if isinstance(schema, dict):
         schema = Schema.from_dict(schema)
-    with open(path, newline="") as fh:
-        text = fh.read()
-    if not text.strip():
-        raise ValueError(f"empty input file: {path}")
-    if delimiter is None:
-        first = next(filter(str.strip, map(re.Match.group, _LINE.finditer(text))))
-        delimiter = "," if "," in first else None  # None -> whitespace split
-    whitespace = delimiter is None
-    lines = map(re.Match.group, (_LINE if whitespace else _NL_LINE).finditer(text))
-    rows = map(str.split, lines) if whitespace else csv.reader(lines, delimiter=delimiter)
-    rows = (r for r in rows if any(map(str.strip, r)))
+    rows = _rows(path, delimiter)
     header = [h.strip() for h in next(rows, [])]
     for spec in schema.columns:
         if spec.name not in header:
@@ -294,30 +303,25 @@ def load_dataset(path, schema, delimiter=None):
                     for s in schema.columns]), delimiter)
             cells[spec].append(col)
         start += len(block)
-    del text, lines, rows
     if not cells[schema.label_column]:
         raise ValueError(f"no usable data rows in {path}")
+    for spec in schema.feature_columns + schema.sensitive_columns:
+        if spec in errors:
+            raise errors[spec]
 
     feature_blocks, feature_names = [], []
     for spec in schema.feature_columns:
-        if spec in errors:
-            raise errors[spec]
         if spec in numeric:
             feature_blocks.append(_standardize(np.concatenate(cells[spec]))[:, None])
             feature_names.append(spec.name)
-        elif spec.encoding == "categorical":
+        else:  # categorical
             levels, codes = _levels(cells[spec])
             feature_blocks.append(
                 (codes[:, None] == np.arange(1, len(levels))).astype(float))
             feature_names.extend(f"{spec.name}={lv}" for lv in levels[1:])
-        else:
-            raise SchemaError(
-                f"unknown feature encoding {spec.encoding!r} for {spec.name!r}")
 
     sensitive_codes, sensitive_levels, sensitive_names = [], [], []
     for spec in schema.sensitive_columns:
-        if spec in errors:
-            raise errors[spec]
         if spec in numeric:
             col = np.concatenate(cells[spec])
             med = float(np.median(col))

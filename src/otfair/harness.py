@@ -433,15 +433,20 @@ def save_checkpoint(path, model, pairs, ot_cfg, iteration):
 
 
 def load_checkpoint(path):
+    """(model, dual pairs by group key, payload) of a save_checkpoint file.
+    A missing field is a ValueError naming the file and the field."""
     with open(path) as fh:
         payload = json.load(fh)
-    model = LogisticModel(np.array(payload["theta"]), payload["names"])
-    pairs = {}
-    for tag, g in payload["groups"].items():
-        key = tuple(int(v) for v in tag.split("|"))
-        m = RffMap(np.array(g["omegas"]), np.array(g["phases"]), g["sigma2"])
-        pairs[key] = DualPair(DualPotential(np.array(g["coeffs_scores"]), m),
-                              DualPotential(np.array(g["coeffs_target"]), m))
+    try:
+        model = LogisticModel(np.array(payload["theta"]), payload["names"])
+        pairs = {}
+        for tag, g in payload["groups"].items():
+            key = tuple(int(v) for v in tag.split("|"))
+            m = RffMap(np.array(g["omegas"]), np.array(g["phases"]), g["sigma2"])
+            pairs[key] = DualPair(DualPotential(np.array(g["coeffs_scores"]), m),
+                                  DualPotential(np.array(g["coeffs_target"]), m))
+    except KeyError as err:
+        raise ValueError(f"checkpoint {path} has no field {err.args[0]!r}") from None
     return model, pairs, payload
 
 

@@ -574,6 +574,23 @@ def test_fit_rejects_an_empty_phase_sequence(empty, monkeypatch):
     assert updates == []
 
 
+@pytest.mark.parametrize("duration", [0, -3])
+def test_fit_rejects_a_phase_of_fewer_than_one_update(duration, monkeypatch):
+    # Such a phase would fit nothing yet trace its start: two rows at update 0.
+    updates = []
+    for mod, name in ((cot, "theta_update"), (dot, "dot_theta_update")):
+        monkeypatch.setattr(mod, name, lambda *args: updates.append(args))
+    ds = _tiny_dataset()
+    model = LogisticModel(np.array([0.2, 0.5, -0.5, 0.0]))
+    target = EmpiricalDistribution(np.linspace(0.1, 0.9, 40))
+    cfg = OtConfig(num_updates=10, batch_scores=8, batch_target=8, seed=1)
+    for run in (cot_run, dot_run):
+        with pytest.raises(ValueError, match=rf"^phase 0 has duration {duration}; "
+                                             "a phase must run at least 1 update$"):
+            run(model, [(ds, duration, ds), (ds, 10, ds)], target, cfg, trace_every=5)
+    assert updates == []
+
+
 class _EmptyTarget:
     n = 0
 

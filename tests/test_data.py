@@ -49,6 +49,17 @@ def test_schema_rejects_unknown_role():
         Schema.from_dict({"a": "wat", "g": "sensitive", "y": "label"})
 
 
+@pytest.mark.parametrize("column,value", [
+    ("a", "feature:numerc"), ("g", "sensitive:medain"), ("y", "label:numeric")])
+def test_schema_rejects_an_encoding_its_role_lacks_before_the_file_is_read(
+        tmp_path, column, value):
+    schema = {"a": "feature", "g": "sensitive", "y": "label", column: value}
+    role, _, encoding = value.partition(":")
+    with pytest.raises(SchemaError, match=rf"^unknown {role} encoding "
+                                          rf"'{encoding}' for column '{column}'"):
+        load_dataset(str(tmp_path / "missing.csv"), schema)
+
+
 def test_load_standardizes_numeric_features(tmp_path):
     ds = load_dataset(_write(tmp_path, CSV), SPEC)
     age = ds.X[:, ds.feature_names.index("age")]
@@ -481,6 +492,25 @@ def test_census_write_and_load_each_stay_under_25_mb(tmp_path):
     assert ds.n == 100_000
     assert write_peak < 25e6, write_peak
     assert load_peak < 25e6, load_peak
+
+
+def test_load_streams_the_file_past_a_wide_ignored_column(tmp_path):
+    # The file's whole text never exists at once: 20 000 rows with a
+    # 500-character column the schema ignores load below half the file's size.
+    path = tmp_path / "wide.csv"
+    with open(path, "w") as fh:
+        fh.write("x,note,s,y\n")
+        fh.writelines(f"{k % 97},{'n' * 500},{'ab'[k % 2]},{k % 3 % 2}\n"
+                      for k in range(20_000))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, {"x": "feature", "s": "sensitive", "y": "label"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 20_000
+    assert peak < size / 2, (peak, size)
 
 
 @pytest.mark.parametrize("frac", [-0.1, 0.0, 1.0, 1.5])

@@ -382,7 +382,8 @@ def test_cli_reports_bad_sweep_sizes_as_a_usage_error(config_path, tmp_path,
 
 BAD_INPUTS = ["missing-config", "no-section-header", "unknown-target-level",
               "drift-method-DPP", "drift-without-schedule", "non-numeric-cell",
-              "updates-abc", "missing-checkpoint", "table-without-metrics"]
+              "updates-abc", "missing-checkpoint", "checkpoint-without-groups",
+              "checkpoint-group-without-phases", "table-without-metrics"]
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -426,6 +427,14 @@ def test_cli_reports_bad_input_as_one_usage_error_line(case, small_csv,
             ["export-duals", "--checkpoint",
              str(tmp_path / "cot" / "checkpoint.json")],
             r"\[Errno 2\] No such file or directory: '.*checkpoint\.json'$"),
+        "checkpoint-without-groups": (
+            ["export-duals", "--checkpoint", write("nogroups.json", json.dumps(
+                {"theta": [0.1], "names": ["a"]}))],
+            r"checkpoint .*nogroups\.json has no field 'groups'$"),
+        "checkpoint-group-without-phases": (
+            ["export-duals", "--checkpoint", write("nophases.json", json.dumps(
+                {"theta": [0.1], "names": ["a"], "groups": {"0": {"omegas": [1.0]}}}))],
+            r"checkpoint .*nophases\.json has no field 'phases'$"),
         "table-without-metrics": (
             ["table", str(tmp_path)], r"no metrics\.json in any of "),
     }[case]
